@@ -52,6 +52,12 @@ class NotCubicVertex(GirthLabError):
     """Two-path counts are only defined at valence-3 vertices."""
 
 
+class GirthInvariantViolation(GirthLabError):
+    """A girth-cycle invariant failed: the ε counts do not add up to whole
+    cycles, a shortest path below the girth radius is not unique, or a
+    cycle rebuilt from the partition around an edge is not a girth cycle."""
+
+
 # --- schemes / maps ---
 
 class NotCubic(GirthLabError):

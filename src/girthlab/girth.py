@@ -1,50 +1,44 @@
 """Girth, per-edge girth-cycle counts, signatures and distance partitions.
 
-The per-edge counter follows the distance-partition structure around an
-edge uv: for odd girth 2d+1 the girth cycles through uv correspond
-one-to-one to the far vertices at distance d from both ends, for even
-girth 2d to the far edges joining the two depth-d shells. Global cycle
-enumeration exists only as a cross-check (tests) and for operations that
-need the cycles themselves, where each cycle is reconstructed from the
-same partition structure.
+Everything local rests on one bounded BFS, `_ball`: the distances of the
+vertices within distance d of a source, read straight off the graph's
+adjacency. For girth 2d+1 the girth cycles through an edge uv correspond
+one-to-one to the far vertices at distance d from both ends, for girth 2d
+to the far edges joining the two depth-d shells; below the girth radius
+shortest paths are unique, so each cycle is recovered by walking from its
+far witness down to u and to v. Loops (girth 1) and parallel pairs
+(girth 2) are the d = 0 and d = 1 cases of the same rule. A graph costs
+O(m · |ball|), where the ball has radius ⌊g/2⌋, independent of n. Global
+cycle enumeration exists only as a cross-check (tests).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .errors import InfiniteGirth, NotAnEdge, NotCubicVertex
-from .multigraph import MultiGraph
+from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
+from .multigraph import Edge, MultiGraph
+
+Ball = dict[int, int]
+Witness = tuple[int, int | None, int]  # (x, far edge or None, y)
 
 
-# --- distances ---
-
-def _adjsets(g: MultiGraph) -> list[set[int]]:
-    """Neighbor sets without self (loops never shorten a distance)."""
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for e in g.edges:
-        if not e.is_loop:
-            u, v = e.ends
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj
-
-
-def _bfs(adj: list[set[int]], src: int, maxdepth: int | None = None) -> list[int]:
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    q = deque([src])
-    while q:
-        v = q.popleft()
-        if maxdepth is not None and dist[v] >= maxdepth:
-            continue
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
+def _ball(g: MultiGraph, src: int, d: int) -> Ball:
+    """The vertices within distance d of src, each mapped to its distance.
+    Loops never shorten a distance."""
+    ball: Ball = {src: 0}
+    frontier = [src]
+    neighbors = g.neighbors
+    for dist in range(1, d + 1):
+        nxt = []
+        for x in frontier:
+            for y, _ in neighbors(x):
+                if y not in ball:
+                    ball[y] = dist
+                    nxt.append(y)
+        frontier = nxt
+    return ball
 
 
 # --- girth ---
@@ -53,41 +47,42 @@ def girth(g: MultiGraph) -> int | None:
     """Length of a shortest cycle; None for forests.
 
     Loops give girth 1 and a parallel pair girth 2; otherwise the girth
-    of the underlying simple graph via rooted BFS.
+    of the simple graph via rooted BFS, each cut off at half the best
+    cycle found so far.
     """
     if g.has_loops:
         return 1
     if g.has_parallel_edges:
         return 2
-    adj = _adjsets(g)
+    neighbors = g.neighbors
+    # reset after each root, so that a BFS costs only what it visits
+    dist = [-1] * g.n
+    up: list[int | None] = [None] * g.n  # the tree edge to the BFS parent
     best: int | None = None
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            if best is not None and 2 * dist[v] + 1 >= best:
-                continue
-            for w in adj[v]:
-                if w == parent[v]:
+        dist[root], up[root] = 0, None
+        queue = [root]
+        for v in queue:  # the loop also visits what it appends
+            dv = dist[v]
+            if best is not None and 2 * dv + 1 >= best:
+                break
+            for w, eid in neighbors(v):
+                if eid == up[v]:
                     continue
                 if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    parent[w] = v
-                    q.append(w)
+                    dist[w], up[w] = dv + 1, eid
+                    queue.append(w)
                 else:
                     # non-tree edge: closed walk through the root
-                    cand = dist[v] + dist[w] + 1
+                    cand = dv + dist[w] + 1
                     if best is None or cand < best:
                         best = cand
+        for v in queue:
+            dist[v] = -1
         if best == 3:
             break
     return best
 
-
-# --- per-edge counts ---
 
 def _require_finite(g: MultiGraph) -> int:
     gir = girth(g)
@@ -96,22 +91,32 @@ def _require_finite(g: MultiGraph) -> int:
     return gir
 
 
-def _epsilon_simple(
-    g: MultiGraph, adj: list[set[int]], gir: int, u: int, v: int
-) -> int:
+# --- per-edge counts ---
+
+def _far(g: MultiGraph, gir: int, e: Edge) -> tuple[list[Witness], Ball, Ball]:
+    """The far witnesses of the edge e = uv, with the balls of radius
+    d = gir // 2 around u and v.
+
+    Odd girth: each vertex x at distance d from both ends, as (x, None, x).
+    Even girth: each edge f = xy other than e with x in D^{d-1}_d and y in
+    D^d_{d-1}, as (x, f, y). A loop (girth 1) is its own far vertex; at
+    girth 2 the far edges are the parallels of e.
+    """
+    u, v = e.ends[0], e.ends[-1]
     d = gir // 2
-    du = _bfs(adj, u, d)
-    dv = _bfs(adj, v, d)
+    bu, bv = _ball(g, u, d), _ball(g, v, d)
+    far: list[Witness] = []
     if gir % 2:
-        return sum(1 for x in range(g.n) if du[x] == d and dv[x] == d)
-    count = 0
-    for e in g.edges:
-        x, y = e.ends
-        if (du[x] == d - 1 and dv[x] == d and du[y] == d and dv[y] == d - 1) or (
-            du[y] == d - 1 and dv[y] == d and du[x] == d and dv[x] == d - 1
-        ):
-            count += 1
-    return count
+        for x, dx in bu.items():
+            if dx == d and bv.get(x) == d:
+                far.append((x, None, x))
+    else:
+        for x, dx in bu.items():
+            if dx == d - 1 and bv.get(x) == d:
+                for y, fid in g.neighbors(x):
+                    if fid != e.id and bu.get(y) == d and bv.get(y) == d - 1:
+                        far.append((x, fid, y))
+    return far, bu, bv
 
 
 def epsilon(g: MultiGraph, eid: int, gir: int | None = None) -> int:
@@ -119,15 +124,7 @@ def epsilon(g: MultiGraph, eid: int, gir: int | None = None) -> int:
     Pass the girth when already known to skip recomputing it."""
     if gir is None:
         gir = _require_finite(g)
-    e = g.edge(eid)
-    if gir == 1:
-        return 1 if e.is_loop else 0
-    if gir == 2:
-        if e.is_loop:
-            return 0
-        return sum(1 for f in g.edges if f.ends == e.ends) - 1
-    u, v = e.ends
-    return _epsilon_simple(g, _adjsets(g), gir, u, v)
+    return len(_far(g, gir, g.edge(eid))[0])
 
 
 # --- reports ---
@@ -152,26 +149,16 @@ class GirthReport:
 
 def girth_report(g: MultiGraph) -> GirthReport:
     gir = _require_finite(g)
-    adj = _adjsets(g)
-    eps: dict[int, int] = {}
-    for e in g.edges:
-        if gir == 1:
-            eps[e.id] = 1 if e.is_loop else 0
-        elif gir == 2:
-            eps[e.id] = 0 if e.is_loop else sum(1 for f in g.edges if f.ends == e.ends) - 1
-        else:
-            u, v = e.ends
-            eps[e.id] = _epsilon_simple(g, adj, gir, u, v)
+    eps = {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
     total = sum(eps.values())
-    assert total % gir == 0, "cycle-count conservation failed"
+    if total % gir:
+        raise GirthInvariantViolation(
+            f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
+        )
     signatures: dict[int, tuple[int, ...]] = {}
     for v in range(g.n):
-        incident: list[int] = []
-        for e in g.edges:
-            if e.is_loop and e.ends[0] == v:
-                incident.extend((eps[e.id], eps[e.id]))
-            elif not e.is_loop and v in e.ends:
-                incident.append(eps[e.id])
+        incident = [eps[eid] for _, eid in g.neighbors(v)]
+        incident += [eps[eid] for w, eid in g.neighbors(v) if w == v]  # a loop counts twice
         signatures[v] = tuple(sorted(incident))
     values = set(signatures.values())
     regular = values.pop() if len(values) == 1 and g.n > 0 else None
@@ -180,62 +167,41 @@ def girth_report(g: MultiGraph) -> GirthReport:
 
 # --- girth-cycle listing (partition-guided) ---
 
-def _walk_down(adj: list[set[int]], dist: list[int], x: int, pair_eid) -> list[int]:
-    """Edge ids of the unique shortest path from x to the BFS source."""
+def _path_down(g: MultiGraph, ball: Ball, x: int) -> list[int]:
+    """Edge ids of the shortest path from x to the centre of `ball`. Below
+    the girth radius it is unique: each step has exactly one neighbour one
+    step nearer, as a second one would close a cycle shorter than the girth."""
     path = []
-    p = x
-    while dist[p] > 0:
-        nxt = [w for w in adj[p] if dist[w] == dist[p] - 1]
-        assert len(nxt) == 1, "shortest path not unique below the girth radius"
-        path.append(pair_eid[(min(p, nxt[0]), max(p, nxt[0]))])
-        p = nxt[0]
+    dx = ball[x]
+    while dx:
+        dx -= 1
+        step = [(w, eid) for w, eid in g.neighbors(x) if ball.get(w) == dx]
+        if len(step) != 1:
+            raise GirthInvariantViolation(
+                f"vertex {x} has {len(step)} neighbours one step nearer the centre"
+                " below the girth radius"
+            )
+        x, eid = step[0]
+        path.append(eid)
     return path
 
 
 def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """All girth cycles, each as its set of edge ids."""
     gir = _require_finite(g)
-    if gir == 1:
-        return [frozenset([e.id]) for e in g.edges if e.is_loop]
-    if gir == 2:
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for e in g.edges:
-            groups.setdefault(e.ends, []).append(e.id)
-        out = []
-        for ids in groups.values():
-            out.extend(
-                frozenset((ids[i], ids[j]))
-                for i in range(len(ids))
-                for j in range(i + 1, len(ids))
-            )
-        return sorted(out, key=sorted)
-    adj = _adjsets(g)
-    pair_eid = {e.ends: e.id for e in g.edges}
-    d = gir // 2
     found: set[frozenset[int]] = set()
     for e in g.edges:
-        u, v = e.ends
-        du = _bfs(adj, u, d)
-        dv = _bfs(adj, v, d)
-        if gir % 2:
-            for x in range(g.n):
-                if du[x] == d and dv[x] == d:
-                    cyc = {e.id}
-                    cyc.update(_walk_down(adj, du, x, pair_eid))
-                    cyc.update(_walk_down(adj, dv, x, pair_eid))
-                    assert len(cyc) == gir
-                    found.add(frozenset(cyc))
-        else:
-            for f in g.edges:
-                x, y = f.ends
-                if du[x] == d and dv[x] == d - 1 and du[y] == d - 1 and dv[y] == d:
-                    x, y = y, x
-                if du[x] == d - 1 and dv[x] == d and du[y] == d and dv[y] == d - 1:
-                    cyc = {e.id, f.id}
-                    cyc.update(_walk_down(adj, du, x, pair_eid))
-                    cyc.update(_walk_down(adj, dv, y, pair_eid))
-                    assert len(cyc) == gir
-                    found.add(frozenset(cyc))
+        far, bu, bv = _far(g, gir, e)
+        for x, fid, y in far:
+            walk = [e.id, *_path_down(g, bu, x), *_path_down(g, bv, y)]
+            if fid is not None:
+                walk.append(fid)
+            cyc = frozenset(walk)
+            if len(cyc) != gir:
+                raise GirthInvariantViolation(
+                    f"closed walk {sorted(cyc)} through edge {e.id} is not a girth cycle"
+                )
+            found.add(cyc)
     return sorted(found, key=sorted)
 
 
@@ -265,26 +231,30 @@ def cycle_vertex_order(g: MultiGraph, cycle: Iterable[int]) -> list[int]:
 # --- direct path-count of cycles through an edge or a 2-path ---
 
 def _count_paths(
-    adj: list[set[int]],
-    dist_to_goal: list[int],
+    g: MultiGraph,
+    goal_ball: Ball,
     cur: int,
     goal: int,
     remaining: int,
-    banned: frozenset[int],
     visited: set[int],
+    skip: int | None,
 ) -> int:
-    if remaining == 0:
-        return 1 if cur == goal else 0
-    if dist_to_goal[cur] < 0 or dist_to_goal[cur] > remaining:
+    """Simple paths of `remaining` edges from cur to goal that avoid the
+    vertices in `visited` and the edge `skip`; `goal_ball` (distances to
+    goal, radius at least `remaining`) prunes branches that cannot arrive."""
+    if remaining <= 0:
+        return int(remaining == 0 and cur == goal)
+    dist = goal_ball.get(cur)
+    if dist is None or dist > remaining:
         return 0
     total = 0
-    for w in adj[cur]:
-        if w in visited or w in banned:
+    for w, eid in g.neighbors(cur):
+        if eid == skip or w in visited:
             continue
         if w == goal and remaining != 1:
             continue
         visited.add(w)
-        total += _count_paths(adj, dist_to_goal, w, goal, remaining - 1, banned, visited)
+        total += _count_paths(g, goal_ball, w, goal, remaining - 1, visited, skip)
         visited.remove(w)
     return total
 
@@ -295,17 +265,8 @@ def epsilon_by_paths(g: MultiGraph, eid: int, gir: int | None = None) -> int:
     if gir is None:
         gir = _require_finite(g)
     e = g.edge(eid)
-    if gir <= 2:
-        return epsilon(g, eid, gir)
-    u, v = e.ends
-    adj = _adjsets(g)
-    if gir == 3:
-        return len(adj[u] & adj[v])
-    dist_v = _bfs(adj, v, gir)
-    adj_no_uv = [set(s) for s in adj]
-    adj_no_uv[u].discard(v)
-    adj_no_uv[v].discard(u)
-    return _count_paths(adj_no_uv, dist_v, u, v, gir - 1, frozenset(), {u})
+    u, v = e.ends[0], e.ends[-1]
+    return _count_paths(g, _ball(g, v, gir - 1), u, v, gir - 1, {u}, eid)
 
 
 # --- distance partitions ---
@@ -324,29 +285,35 @@ class DistancePartition:
 
 
 def _partition(g: MultiGraph, u: int, anchor: int, gir: int) -> DistancePartition:
-    adj = _adjsets(g)
     d = gir // 2
-    bound = d + 1
-    du = _bfs(adj, u, bound)
-    da = _bfs(adj, anchor, bound)
+    bu, ba = _ball(g, u, d + 1), _ball(g, anchor, d + 1)
     cells: dict[tuple[int, int], set[int]] = {}
-    for x in range(g.n):
-        if 0 <= du[x] <= bound and 0 <= da[x] <= bound:
-            cells.setdefault((du[x], da[x]), set()).add(x)
+    for x, i in bu.items():
+        j = ba.get(x)
+        if j is not None:
+            cells.setdefault((i, j), set()).add(x)
     frozen = {ij: frozenset(s) for ij, s in cells.items()}
     return DistancePartition((u, anchor), d, frozen)
 
 
+def _edge_between(g: MultiGraph, u: int, v: int) -> int | None:
+    """The least id of an edge joining the distinct vertices u and v."""
+    if u != v and 0 <= u < g.n:
+        for w, eid in g.neighbors(u):  # in edge-id order
+            if w == v:
+                return eid
+    return None
+
+
 def distance_partition(g: MultiGraph, u: int, v: int) -> DistancePartition:
-    if not any(not e.is_loop and set(e.ends) == {u, v} for e in g.edges):
+    if _edge_between(g, u, v) is None:
         raise NotAnEdge(f"({u}, {v}) is not an edge")
     gir = _require_finite(g)
     return _partition(g, u, v, gir)
 
 
 def distance_partition_2path(g: MultiGraph, u: int, v: int, w: int) -> DistancePartition:
-    ends = {frozenset(e.ends) for e in g.edges if not e.is_loop}
-    if frozenset((u, v)) not in ends or frozenset((v, w)) not in ends:
+    if _edge_between(g, u, v) is None or _edge_between(g, v, w) is None:
         raise NotAnEdge(f"({u}, {v}, {w}) is not a 2-path")
     gir = _require_finite(g)
     part = _partition(g, u, w, gir)
@@ -367,19 +334,17 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
     Facts quantified with (k-1)-counts apply to regular graphs only; facts
     five and six are gated on the girth's parity.
     """
-    eid = None
-    for e in g.edges:
-        if not e.is_loop and set(e.ends) == {u, v}:
-            eid = e.id
-            break
+    eid = _edge_between(g, u, v)
     if eid is None:
         raise NotAnEdge(f"({u}, {v}) is not an edge")
     gir = _require_finite(g)
     part = _partition(g, u, v, gir)
-    adj = _adjsets(g)
     d = part.radius
     k = g.is_regular()
     results: list[FactResult] = []
+
+    def adj(x: int) -> set[int]:
+        return {w for w, _ in g.neighbors(x) if w != x}
 
     # (1) D^i_i empty below the radius
     bad = [(i, sorted(part.cell(i, i))) for i in range(1, d) if part.cell(i, i)]
@@ -390,7 +355,7 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
     for i in range(2, d + 1):
         for cell in (part.cell(i - 1, i), part.cell(i, i - 1)):
             for x in cell:
-                hits = adj[x] & cell
+                hits = adj(x) & cell
                 if hits:
                     bad2.append((i, x, sorted(hits)))
     results.append(FactResult(2, True, not bad2, bad2 or None))
@@ -403,10 +368,11 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
             (part.cell(i, i - 1), part.cell(i - 1, i - 2), part.cell(i + 1, i)),
         ):
             for x in cell:
-                if len(adj[x] & back) != 1:
-                    bad3.append((i, x, "back", len(adj[x] & back)))
-                if k is not None and i <= d - 1 and len(adj[x] & fwd) != k - 1:
-                    bad3.append((i, x, "forward", len(adj[x] & fwd)))
+                nb = adj(x)
+                if len(nb & back) != 1:
+                    bad3.append((i, x, "back", len(nb & back)))
+                if k is not None and i <= d - 1 and len(nb & fwd) != k - 1:
+                    bad3.append((i, x, "forward", len(nb & fwd)))
     results.append(FactResult(3, True, not bad3, bad3 or None))
 
     # (4) shell sizes (k-1)^(i-1), regular graphs
@@ -425,14 +391,8 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
 
     # (5) even girth: ε(uv) counts the far cross edges
     if gir % 2 == 0:
-        far = 0
         upper, lower = part.cell(d - 1, d), part.cell(d, d - 1)
-        for e in g.edges:
-            if e.is_loop:
-                continue
-            x, y = e.ends
-            if (x in upper and y in lower) or (y in upper and x in lower):
-                far += 1
+        far = sum(1 for x in upper for y, _ in g.neighbors(x) if y in lower)
         results.append(FactResult(5, True, far == eps_direct, (far, eps_direct)))
         results.append(FactResult(6, False, None))
     else:
@@ -442,7 +402,7 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
         ok = len(dd) == eps_direct
         wit: Any = (len(dd), eps_direct)
         for x in dd:
-            if len(adj[x] & part.cell(d - 1, d)) != 1 or len(adj[x] & part.cell(d, d - 1)) != 1:
+            if len(adj(x) & part.cell(d - 1, d)) != 1 or len(adj(x) & part.cell(d, d - 1)) != 1:
                 ok = False
                 wit = ("unmatched far vertex", x)
                 break
@@ -464,32 +424,14 @@ class TwoPathCounts:
     z: int
 
 
-def _cycles_through_pair(
-    g: MultiGraph, adj: list[set[int]], gir: int, v: int, ea: int, eb: int
-) -> int:
-    a_edge, b_edge = g.edge(ea), g.edge(eb)
-    if gir == 1:
-        return 0  # a loop cycle has a single edge
-    if gir == 2:
-        return 1 if a_edge.ends == b_edge.ends else 0
-    a = a_edge.ends[0] if a_edge.ends[1] == v else a_edge.ends[1]
-    b = b_edge.ends[0] if b_edge.ends[1] == v else b_edge.ends[1]
-    adj_no_v = [set(s) for s in adj]
-    for w in adj[v]:
-        adj_no_v[w].discard(v)
-    adj_no_v[v] = set()
-    dist_b = _bfs(adj_no_v, b, gir)
-    return _count_paths(adj_no_v, dist_b, a, b, gir - 2, frozenset([v]), {a})
-
-
 def two_path_counts(g: MultiGraph, v: int) -> TwoPathCounts:
-    if g.degree(v) != 3 or any(e.is_loop and e.ends[0] == v for e in g.edges):
+    if g.degree(v) != 3 or any(w == v for w, _ in g.neighbors(v)):
         raise NotCubicVertex(f"vertex {v} is not a loop-free valence-3 vertex")
     gir = _require_finite(g)
-    ids = sorted(e.id for e in g.edges if v in e.ends)
-    adj = _adjsets(g)
-    e1, e2, e3 = ids
-    x = _cycles_through_pair(g, adj, gir, v, e1, e2)
-    y = _cycles_through_pair(g, adj, gir, v, e2, e3)
-    z = _cycles_through_pair(g, adj, gir, v, e3, e1)
-    return TwoPathCounts(v, (e1, e2, e3), x, y, z)
+    (e1, a1), (e2, a2), (e3, a3) = sorted((eid, w) for w, eid in g.neighbors(v))
+
+    def through(a: int, b: int) -> int:
+        # girth cycles through the 2-path a-v-b: a-b paths of g-2 edges avoiding v
+        return _count_paths(g, _ball(g, b, gir - 2), a, b, gir - 2, {v, a}, None)
+
+    return TwoPathCounts(v, (e1, e2, e3), through(a1, a2), through(a2, a3), through(a3, a1))

@@ -164,7 +164,7 @@ def _regular_girth_report(g: MultiGraph, want: tuple[int, ...]):
 
 
 def _walk_of_cycle(g: MultiGraph, cycle: frozenset[int]) -> ClosedWalk:
-    pair_eid = {e.ends: e.id for e in g.edges}
+    pair_eid = {g.edge(eid).ends: eid for eid in cycle}
     vs = cycle_vertex_order(g, cycle)
     arcs = []
     for i, u in enumerate(vs):

@@ -110,6 +110,52 @@ def naive_epsilon(g: MultiGraph) -> dict[int, int]:
     return counts
 
 
+def naive_two_path_counts(g: MultiGraph) -> dict[int, tuple[int, int, int]]:
+    """At each loop-free valence-3 vertex, the girth cycles through each
+    pair of its edges, in the order (e1e2, e2e3, e3e1) with e1 < e2 < e3."""
+    cycles = naive_girth_cycles(g)
+    out: dict[int, tuple[int, int, int]] = {}
+    for v in range(g.n):
+        at_v = [e for e in g.edges if v in e.ends]
+        if len(at_v) != 3 or any(e.is_loop for e in at_v):
+            continue
+        e1, e2, e3 = sorted(e.id for e in at_v)
+        out[v] = tuple(
+            sum(1 for c in cycles if a in c and b in c) for a, b in ((e1, e2), (e2, e3), (e3, e1))
+        )
+    return out
+
+
+def naive_distances(g: MultiGraph, src: int) -> list[int | None]:
+    """Distances from src by relaxing every edge until nothing changes."""
+    dist: list[int | None] = [None] * g.n
+    dist[src] = 0
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            if e.is_loop:
+                continue
+            for a, b in (e.ends, e.ends[::-1]):
+                if dist[a] is not None and (dist[b] is None or dist[a] + 1 < dist[b]):
+                    dist[b] = dist[a] + 1
+                    changed = True
+    return dist
+
+
+def naive_partition_cells(
+    g: MultiGraph, u: int, anchor: int, bound: int
+) -> dict[tuple[int, int], frozenset[int]]:
+    """Cells {x : d(u, x) = i, d(anchor, x) = j} for i, j <= bound."""
+    du, da = naive_distances(g, u), naive_distances(g, anchor)
+    cells: dict[tuple[int, int], set[int]] = {}
+    for x in range(g.n):
+        i, j = du[x], da[x]
+        if i is not None and j is not None and i <= bound and j <= bound:
+            cells.setdefault((i, j), set()).add(x)
+    return {ij: frozenset(s) for ij, s in cells.items()}
+
+
 def naive_signatures(g: MultiGraph) -> dict[int, tuple[int, ...]]:
     eps = naive_epsilon(g)
     out: dict[int, tuple[int, ...]] = {}

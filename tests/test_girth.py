@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import pytest
 
 from girthlab import families
-from girthlab.errors import InfiniteGirth, NotAnEdge, NotCubicVertex
+from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from girthlab.girth import (
     check_partition_facts,
     cycle_vertex_order,
@@ -21,9 +22,91 @@ from girthlab.girth import (
 from girthlab.multigraph import MultiGraph, from_edge_list
 from girthlab.schemes import truncate, unique_cubic_scheme
 
-from oracle import naive_epsilon, naive_girth, naive_girth_cycles, naive_signatures
+from oracle import (
+    naive_distances,
+    naive_epsilon,
+    naive_girth,
+    naive_girth_cycles,
+    naive_partition_cells,
+    naive_signatures,
+    naive_two_path_counts,
+)
 
 TRUNC_3PRISM = truncate(unique_cubic_scheme(families.prism(3))).graph
+
+
+def _random_cubic(rng: random.Random, n: int) -> MultiGraph:
+    """Simple cubic graph from the pairing model, by rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(pairs) == 3 * n // 2 and all(a != b for a, b in pairs):
+            return from_edge_list(n, sorted(pairs))
+
+
+def _random_girth5_with_trees(rng: random.Random, core: int, pendants: int) -> MultiGraph:
+    """A sparse core of girth >= 5, built from random edges whose ends lie
+    at distance >= 4, with pendant trees hung off it: not regular, and the
+    balls around most edges are not full trees."""
+    while True:
+        edges: list[tuple[int, int]] = []
+        for _ in range(8 * core):
+            a, b = rng.sample(range(core), 2)
+            d = naive_distances(from_edge_list(core, edges), a)[b]
+            if d is None or d >= 4:
+                edges.append((a, b))
+        if naive_girth(from_edge_list(core, edges)) is not None:
+            break
+    for v in range(core, core + pendants):
+        edges.append((rng.randrange(v), v))
+    return from_edge_list(core + pendants, edges)
+
+
+def _random_multigraph(rng: random.Random) -> MultiGraph:
+    """A few vertices with loops and parallel edges."""
+    n = rng.randint(1, 5)
+    pairs = []
+    for _ in range(rng.randint(2, 9)):
+        a = rng.randrange(n)
+        pairs.append((a, a) if rng.random() < 0.2 else (a, rng.randrange(n)))
+    return from_edge_list(n, pairs)
+
+
+def _random_graphs() -> list[MultiGraph]:
+    rng = random.Random(2024)
+    out = [_random_cubic(rng, n) for n in (8, 10, 12, 14, 16, 18, 20, 24)]
+    out += [_random_girth5_with_trees(rng, core, pendants) for core, pendants in
+            ((10, 4), (12, 8), (16, 6), (20, 10), (24, 12), (14, 20))]
+    out += [_random_multigraph(rng) for _ in range(24)]
+    return out
+
+
+RANDOM_GRAPHS = _random_graphs()
+
+
+def _assert_matches_oracle(g: MultiGraph) -> None:
+    """girth, report, cycles, ε and the distance-partition cells of every
+    edge, each against its brute-force oracle."""
+    gir = naive_girth(g)
+    assert girth(g) == gir
+    if gir is None:
+        return
+    eps = naive_epsilon(g)
+    cycles = naive_girth_cycles(g)
+    rep = girth_report(g)
+    assert rep.girth == gir and rep.cycle_count == len(cycles)
+    assert rep.epsilon == eps
+    assert rep.signatures == naive_signatures(g)
+    listed = girth_cycles(g)
+    assert len(listed) == len(cycles) and set(listed) == cycles
+    for e in g.edges:
+        assert epsilon(g, e.id) == eps[e.id]
+        if not e.is_loop:
+            u, v = e.ends
+            for a, b in ((u, v), (v, u)):
+                part = distance_partition(g, a, b)
+                assert part.cells == naive_partition_cells(g, a, b, gir // 2 + 1)
 
 
 def test_girth_of_named_graphs():
@@ -100,14 +183,18 @@ def test_oracle_equivalence_on_named_graphs():
         families.petersen(),
         families.prism(5),
         families.mobius(6),
-        families.heawood(),
+        families.heawood(),  # girth 6
+        families.tutte_coxeter(),  # girth 8
         TRUNC_3PRISM,
     ):
-        rep = girth_report(g)
-        assert rep.girth == naive_girth(g)
-        assert rep.epsilon == naive_epsilon(g)
-        assert rep.signatures == naive_signatures(g)
-        assert set(girth_cycles(g)) == naive_girth_cycles(g)
+        _assert_matches_oracle(g)
+
+
+def test_oracle_equivalence_on_random_graphs():
+    kinds = {naive_girth(g) for g in RANDOM_GRAPHS}
+    assert {1, 2, 3, 4, 5, None}.issubset(kinds)
+    for g in RANDOM_GRAPHS:
+        _assert_matches_oracle(g)
 
 
 def test_oracle_equivalence_on_multigraphs():
@@ -121,6 +208,34 @@ def test_epsilon_by_paths_matches_fast_counter():
     for g in (families.petersen(), families.heawood(), families.prism(7)):
         for e in g.edges:
             assert epsilon(g, e.id) == epsilon_by_paths(g, e.id)
+
+
+def test_path_counts_match_oracle_on_random_graphs():
+    for g in RANDOM_GRAPHS:
+        if naive_girth(g) is None:
+            continue
+        eps = naive_epsilon(g)
+        for e in g.edges:
+            assert epsilon(g, e.id) == epsilon_by_paths(g, e.id) == eps[e.id]
+        for v, want in naive_two_path_counts(g).items():
+            t = two_path_counts(g, v)
+            assert (t.x, t.y, t.z) == want
+
+
+@pytest.mark.parametrize(
+    ("g", "wrong_girth", "run", "message"),
+    [
+        (families.prism(5), 6, girth_report, "cycle-count conservation"),
+        (families.cube_q3(), 6, girth_cycles, "neighbours one step nearer"),
+        (families.dodecahedron(), 7, girth_cycles, "not a girth cycle"),
+    ],
+)
+def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth, run, message):
+    # a wrong girth breaks the partition facts the counts rest on; the
+    # checks are raises, so they also hold under python -O
+    monkeypatch.setattr(importlib.import_module("girthlab.girth"), "girth", lambda _g: wrong_girth)
+    with pytest.raises(GirthInvariantViolation, match=message):
+        run(g)
 
 
 def test_signature_is_isomorphism_invariant():
