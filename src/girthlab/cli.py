@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -42,30 +43,48 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+class UsageError(Exception):
+    """A bad setting that concerns the whole invocation, not one input."""
+
+
 def _cap(args: argparse.Namespace, default: int) -> int:
-    if getattr(args, "max_vertices", None):
+    if args.max_vertices is not None:
         return args.max_vertices
     env = os.environ.get(ENV_CAP)
-    if env:
-        return int(env)
-    return default
+    if not env:
+        return default
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise UsageError(f"{ENV_CAP} must be a nonnegative integer, got {env!r}")
+    return cap
 
 
 # --- input streaming ---
 
-def _input_files(paths: list[str]) -> Iterator[tuple[str, str]]:
-    """(display name, content) per input file; '-' reads stdin."""
+def _read(read: Callable[[], str]) -> str | Exception:
+    try:
+        return read()
+    except (OSError, UnicodeDecodeError) as exc:
+        return exc
+
+
+def _input_files(paths: list[str]) -> Iterator[tuple[str, str | Exception]]:
+    """(display name, content or the error that reading it raised) per
+    input file; '-' reads stdin."""
     for p in paths:
         if p == "-":
-            yield "<stdin>", sys.stdin.read()
+            yield "<stdin>", _read(sys.stdin.read)
             continue
         path = Path(p)
         if path.is_dir():
             for child in sorted(path.iterdir()):
                 if child.is_file():
-                    yield str(child), child.read_text()
+                    yield str(child), _read(child.read_text)
         else:
-            yield str(path), path.read_text()
+            yield str(path), _read(path.read_text)
 
 
 ParsedGraph = tuple[str, "MultiGraph | Exception", "DihedralScheme | None"]
@@ -75,6 +94,9 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
     """Parse every graph in the inputs, one (id, graph-or-error, scheme)
     per graph, ordered by (file, position)."""
     for name, content in _input_files(paths):
+        if isinstance(content, Exception):
+            yield name, content, None
+            continue
         stripped = content.lstrip()
         docs = None
         if stripped.startswith("["):
@@ -93,9 +115,7 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
             for k, d in enumerate(docs, start=1):
                 gid = f"{name}:#{k}"
                 try:
-                    g, scheme = read_multigraph_json_full(d)
-                    if g.n > cap:
-                        raise GirthLabError(f"{g.n} vertices exceeds cap {cap}")
+                    g, scheme = read_multigraph_json_full(d, cap)
                     yield gid, g, scheme
                 except GirthLabError as exc:
                     yield gid, exc, None
@@ -107,9 +127,7 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
             gid = f"{name}:{i}"
             try:
                 if line.startswith("{"):
-                    g, scheme = read_multigraph_json_full(line)
-                    if g.n > cap:
-                        raise GirthLabError(f"{g.n} vertices exceeds cap {cap}")
+                    g, scheme = read_multigraph_json_full(line, cap)
                     yield gid, g, scheme
                 else:
                     yield gid, parse_graph6(line, cap=cap), None
@@ -124,8 +142,15 @@ def _map_ordered(
         for item in items:
             yield fn(item)
         return
+    # a bounded read-ahead: pool.map would parse and hold every input at once
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(fn, items)
+        pending: deque[Future[R]] = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > 4 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _emit(records: Iterable[tuple[str, dict[str, Any]]], fmt: str,
@@ -356,7 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (UsageError, GirthLabError) as exc:  # per-graph errors never get here
+        print(f"girthlab: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

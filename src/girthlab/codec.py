@@ -8,6 +8,7 @@ and parallel edges. Both text formats follow the published byte layout
 from __future__ import annotations
 
 import json
+from itertools import compress
 from typing import Any, TYPE_CHECKING
 
 from .errors import (
@@ -28,28 +29,36 @@ SPARSE6_HEADER = ">>sparse6<<"
 DEFAULT_PARSE_CAP = 10**6
 
 
-# --- shared bit plumbing ---
+# --- shared byte plumbing ---
+
+# each byte carries six bits, most significant first, as the character 63 + value
+_PRINTABLE = bytes(range(63, 127))
+_UP = bytes((b + 63) & 255 for b in range(256))
+_DOWN = bytes((b - 63) & 255 for b in range(256))
+# the offsets 0..5 of the bits set in each 6-bit value
+_SET_BITS = tuple(tuple(i for i in range(6) if x & (32 >> i)) for x in range(64))
+
 
 def _decode_n(data: bytes, cap: int) -> tuple[int, bytes]:
-    """Read the N(n) prefix, return (n, remaining bytes)."""
+    """Read the N(n) prefix, return (n, the remaining 6-bit values)."""
     if not data:
         raise MalformedEncoding("empty line")
-    for b in data:
-        if not (63 <= b <= 126):
-            raise MalformedEncoding(f"byte {b} outside printable range 63..126")
-    if data[0] != 126:
-        n, rest = data[0] - 63, data[1:]
-    elif len(data) >= 2 and data[1] != 126:
+    bad = data.translate(None, _PRINTABLE)
+    if bad:
+        raise MalformedEncoding(f"byte {bad[0]} outside printable range 63..126")
+    data = data.translate(_DOWN)
+    if data[0] != 63:
+        n, rest = data[0], data[1:]
+    elif len(data) >= 2 and data[1] != 63:
         if len(data) < 4:
             raise MalformedEncoding("truncated 18-bit vertex count")
-        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
-        rest = data[4:]
+        n, rest = (data[1] << 12) | (data[2] << 6) | data[3], data[4:]
     else:
         if len(data) < 8:
             raise MalformedEncoding("truncated 36-bit vertex count")
         n = 0
         for b in data[2:8]:
-            n = (n << 6) | (b - 63)
+            n = (n << 6) | b
         rest = data[8:]
     if n > cap:
         raise VertexCountOverflow(f"{n} vertices exceeds cap {cap}")
@@ -68,25 +77,6 @@ def _encode_n(n: int) -> bytes:
     raise MalformedEncoding("vertex count too large for graph6/sparse6")
 
 
-def _bits_of(data: bytes) -> list[int]:
-    bits: list[int] = []
-    for b in data:
-        v = b - 63
-        bits.extend((v >> s) & 1 for s in range(5, -1, -1))
-    return bits
-
-
-def _bytes_of(bits: list[int]) -> bytes:
-    assert len(bits) % 6 == 0
-    out = bytearray()
-    for i in range(0, len(bits), 6):
-        v = 0
-        for bit in bits[i : i + 6]:
-            v = (v << 1) | bit
-        out.append(v + 63)
-    return bytes(out)
-
-
 # --- graph6 ---
 
 def parse_graph6(text: str, cap: int = DEFAULT_PARSE_CAP) -> MultiGraph:
@@ -98,29 +88,32 @@ def parse_graph6(text: str, cap: int = DEFAULT_PARSE_CAP) -> MultiGraph:
         s = s[len(SPARSE6_HEADER):]
     if not s:
         raise MalformedEncoding("empty line")
-    if s.startswith(":"):
-        return _parse_sparse6_body(s[1:], cap)
     if s.startswith(";"):
         raise MalformedEncoding("incremental sparse6 is not supported")
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise MalformedEncoding("non-ascii character") from exc
-    n, rest = _decode_n(data, cap)
-    need = (n * (n - 1) // 2 + 5) // 6
-    if len(rest) != need:
-        raise MalformedEncoding(f"expected {need} body bytes, got {len(rest)}")
-    bits = _bits_of(rest)
-    edges = []
-    eid = 0
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                edges.append((eid, (i, j)))
-                eid += 1
-            pos += 1
-    return MultiGraph(n, edges)
+    if data.startswith(b":"):
+        return _parse_sparse6_body(data[1:], cap)
+    n, body = _decode_n(data, cap)
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
+    if len(body) != need:
+        raise MalformedEncoding(f"expected {need} body bytes, got {len(body)}")
+    # bit p holds the pair (i, j), i < j, with p = col + i and col = j(j-1)/2
+    pairs = []
+    j, col = 1, 0
+    for k in compress(range(need), body):  # the nonzero groups
+        for off in _SET_BITS[body[k]]:
+            p = 6 * k + off
+            if p >= total:  # padding
+                break
+            while p >= col + j:
+                col += j
+                j += 1
+            pairs.append((p - col, j))
+    return MultiGraph(n, enumerate(pairs))
 
 
 def write_graph6(g: MultiGraph) -> str:
@@ -128,82 +121,84 @@ def write_graph6(g: MultiGraph) -> str:
     if not g.is_simple:
         raise NotSimple("graph6 cannot carry loops or parallel edges")
     n = g.n
-    adj = [[False] * n for _ in range(n)]
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
     for e in g.edges:
         u, v = e.ends
-        adj[u][v] = adj[v][u] = True
-    bits = [1 if adj[i][j] else 0 for j in range(1, n) for i in range(j)]
-    bits.extend([0] * (-len(bits) % 6))
-    return (_encode_n(n) + _bytes_of(bits)).decode("ascii")
+        p = v * (v - 1) // 2 + u
+        body[p // 6] |= 32 >> (p % 6)
+    return (_encode_n(n) + body.translate(_UP)).decode("ascii")
 
 
 # --- sparse6 ---
+# The body is a sequence of (1 + k)-bit fields b·x, packed most
+# significant first; b = 1 advances the current vertex v, then x > v
+# jumps v to x and x <= v is the edge {x, v}.
 
 def _sparse6_k(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _parse_sparse6_body(body: str, cap: int) -> MultiGraph:
-    try:
-        data = body.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise MalformedEncoding("non-ascii character") from exc
+def _parse_sparse6_body(data: bytes, cap: int) -> MultiGraph:
     n, rest = _decode_n(data, cap)
     k = _sparse6_k(n)
-    bits = _bits_of(rest)
-    edges = []
-    eid = 0
+    width, mask = k + 1, (1 << k) - 1
+    pairs = []
     v = 0
-    pos = 0
-    while pos + k < len(bits):
-        b = bits[pos]
-        x = 0
-        for bit in bits[pos + 1 : pos + 1 + k]:
-            x = (x << 1) | bit
-        pos += 1 + k
-        if b:
-            v += 1
-        if x >= n or v >= n:
-            break
-        if x > v:
-            v = x
-        else:
-            edges.append((eid, (x, v)))
-            eid += 1
-    return MultiGraph(n, edges)
+    acc = nbits = 0
+    for x6 in rest:
+        acc = (acc << 6) | x6
+        nbits += 6
+        while nbits >= width:  # an incomplete field at the end is padding
+            nbits -= width
+            field = acc >> nbits
+            acc &= (1 << nbits) - 1
+            if field >> k:
+                v += 1
+            x = field & mask
+            if x >= n or v >= n:
+                return MultiGraph(n, enumerate(pairs))
+            if x > v:
+                v = x
+            else:
+                pairs.append((x, v))
+    return MultiGraph(n, enumerate(pairs))
 
 
 def write_sparse6(g: MultiGraph) -> str:
     """Encode any multigraph (loops and parallel edges included)."""
     n = g.n
     k = _sparse6_k(n)
+    width, b = k + 1, 1 << k
     pairs = sorted(
         ((e.ends[0], e.ends[-1]) for e in g.edges), key=lambda p: (p[1], p[0])
     )
-    bits: list[int] = []
-
-    def emit(b: int, x: int) -> None:
-        bits.append(b)
-        bits.extend((x >> s) & 1 for s in range(k - 1, -1, -1))
-
+    fields = []
     v = 0
     for u, w in pairs:
         if w == v:
-            emit(0, u)
+            fields.append(u)
         elif w == v + 1:
             v += 1
-            emit(1, u)
+            fields.append(b | u)
         else:
             v = w
-            emit(1, w)
-            emit(0, u)
-    pad = -len(bits) % 6
-    # power-of-two clash: plain 1-padding would decode as a loop at n-1
-    if pad >= k + 1 and n == (1 << k) and v == n - 2:
-        bits.append(0)
-        pad -= 1
-    bits.extend([1] * pad)
-    return ":" + (_encode_n(n) + _bytes_of(bits)).decode("ascii")
+            fields.append(b | w)
+            fields.append(u)
+    out = bytearray()
+    acc = nbits = 0
+    for f in fields:
+        acc = (acc << width) | f
+        nbits += width
+        while nbits >= 6:
+            nbits -= 6
+            out.append(acc >> nbits)
+            acc &= (1 << nbits) - 1
+    pad = -nbits % 6
+    if pad:
+        # power-of-two clash: plain 1-padding would decode as a loop at n-1
+        clash = pad >= width and n == b and v == n - 2
+        out.append((acc << pad) | ((1 << (pad - clash)) - 1))
+    return ":" + (_encode_n(n) + out.translate(_UP)).decode("ascii")
 
 
 # --- multigraph JSON ---
@@ -220,8 +215,10 @@ def read_multigraph_json(doc: dict[str, Any] | str) -> MultiGraph:
 
 
 def read_multigraph_json_full(
-    doc: dict[str, Any] | str,
+    doc: dict[str, Any] | str, cap: int = DEFAULT_PARSE_CAP
 ) -> tuple[MultiGraph, "DihedralScheme | None"]:
+    """Decode the JSON multigraph document and its attached scheme, if any;
+    a vertex count above `cap` is refused before anything is allocated."""
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
@@ -231,6 +228,8 @@ def read_multigraph_json_full(
     _check("vertices" in doc and "edges" in doc, "missing 'vertices' or 'edges'")
     n = doc["vertices"]
     _check(isinstance(n, int) and n >= 0, "'vertices' must be a nonnegative integer")
+    if n > cap:
+        raise VertexCountOverflow(f"{n} vertices exceeds cap {cap}")
     raw_edges = doc["edges"]
     _check(isinstance(raw_edges, list), "'edges' must be a list")
     edges = []

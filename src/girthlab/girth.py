@@ -47,19 +47,37 @@ def girth(g: MultiGraph) -> int | None:
     """Length of a shortest cycle; None for forests.
 
     Loops give girth 1 and a parallel pair girth 2; otherwise the girth
-    of the simple graph via rooted BFS, each cut off at half the best
-    cycle found so far.
+    of the simple graph via rooted BFS over its 2-core, each cut off at
+    half the best cycle found so far.
     """
     if g.has_loops:
         return 1
     if g.has_parallel_edges:
         return 2
     neighbors = g.neighbors
+    roots: Iterable[int] = range(g.n)
+    if min(g.degrees, default=2) <= 1:
+        # peel vertices of degree <= 1: no cycle passes through them
+        deg = list(g.degrees)
+        gone = [d <= 1 for d in deg]
+        stack = [v for v, out in enumerate(gone) if out]
+        while stack:
+            for w, _ in neighbors(stack.pop()):
+                if not gone[w]:
+                    deg[w] -= 1
+                    if deg[w] <= 1:
+                        gone[w] = True
+                        stack.append(w)
+        roots = [v for v, out in enumerate(gone) if not out]
+        if not roots:
+            return None
+        adj = [tuple(p for p in neighbors(v) if not gone[p[0]]) for v in range(g.n)]
+        neighbors = adj.__getitem__
     # reset after each root, so that a BFS costs only what it visits
     dist = [-1] * g.n
     up: list[int | None] = [None] * g.n  # the tree edge to the BFS parent
     best: int | None = None
-    for root in range(g.n):
+    for root in roots:
         dist[root], up[root] = 0, None
         queue = [root]
         for v in queue:  # the loop also visits what it appends

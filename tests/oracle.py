@@ -2,8 +2,8 @@
 
 Everything here is deliberately written against different algorithms
 than the production code: girth by edge-deletion distances, cycle counts
-by exhaustive DFS enumeration, and a second graph6 reader working on a
-whole bit string.
+by exhaustive DFS enumeration, and a second graph6 reader and graph6 and
+sparse6 writers working on a whole bit string.
 """
 
 from __future__ import annotations
@@ -196,3 +196,59 @@ def graph6_bits_reader(line: str) -> tuple[int, list[tuple[int, int]]]:
                 edges.append((i, j))
             pos += 1
     return n, edges
+
+
+# --- graph6 and sparse6 writers, by the definition of the formats ---
+
+def _chars(bits: str) -> str:
+    """Six bits per character, value + 63; len(bits) is a multiple of 6."""
+    return "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
+
+
+def _n_prefix(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + _chars(f"{n:018b}")
+    return "~~" + _chars(f"{n:036b}")
+
+
+def naive_graph6_line(g: MultiGraph) -> str:
+    """The upper triangle of the adjacency matrix, column by column, as
+    one bit string, zero-padded to a multiple of 6."""
+    pairs = {e.ends for e in g.edges}
+    bits = "".join(
+        "1" if (i, j) in pairs else "0" for j in range(1, g.n) for i in range(j)
+    )
+    bits += "0" * (-len(bits) % 6)
+    return _n_prefix(g.n) + _chars(bits)
+
+
+def naive_sparse6_line(g: MultiGraph) -> str:
+    """Edges sorted by (larger end, smaller end) as (b, x) bit fields, with
+    the format's padding rule: 1-bits, except that when n = 2^k, vertex
+    n-2 has an edge, n-1 has none and k + 1 or more bits are missing, a
+    0-bit comes first so the padding cannot read as a loop at n-1."""
+    n = g.n
+    k = 1
+    while (1 << k) < n:
+        k += 1
+    ends = sorted((e.ends[-1], e.ends[0]) for e in g.edges)  # (larger, smaller)
+    bits = ""
+    v = 0
+    for w, u in ends:
+        if w == v:
+            bits += "0" + f"{u:0{k}b}"
+        elif w == v + 1:
+            v = w
+            bits += "1" + f"{u:0{k}b}"
+        else:
+            v = w
+            bits += "1" + f"{w:0{k}b}" + "0" + f"{u:0{k}b}"
+    pad = -len(bits) % 6
+    touched = {x for e in g.edges for x in e.ends}
+    if n == 1 << k and (n - 2) in touched and (n - 1) not in touched and pad >= k + 1:
+        bits += "0" + "1" * (pad - 1)
+    else:
+        bits += "1" * pad
+    return ":" + _n_prefix(n) + _chars(bits)

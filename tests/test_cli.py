@@ -261,3 +261,106 @@ def test_max_vertices_flag_and_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GIRTHLAB_MAX_VERTICES")
     code, out = run(capsys, "analyze", p)
     assert code == 0
+
+
+def test_max_vertices_zero_is_a_cap(petersen_file, capsys):
+    code, out = run(capsys, "analyze", "--max-vertices", "0", petersen_file)
+    assert code == 1
+    assert "10 vertices exceeds cap 0" in out
+
+
+@pytest.mark.parametrize("value", ["lots", "-3", "1.5"])
+def test_bad_env_cap_is_one_error_line(value, petersen_file, capsys, monkeypatch):
+    monkeypatch.setenv("GIRTHLAB_MAX_VERTICES", value)
+    for command in ("analyze", "verify", "truncate"):
+        code = main([command, str(petersen_file)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "GIRTHLAB_MAX_VERTICES" in captured.err
+
+
+def _unreadable_inputs(tmp_path):
+    bad = tmp_path / "latin1.g6"
+    bad.write_bytes(b"\xff\xfe not utf-8\n")
+    return [tmp_path / "missing.g6", bad]
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["decompose", "--mode", "222"], ["verify"]]
+)
+def test_unreadable_inputs_become_error_records(command, tmp_path, capsys):
+    missing, bad = _unreadable_inputs(tmp_path)
+    cube = tmp_path / "q3.g6"
+    cube.write_text(write_graph6(families.cube_q3()) + "\n")
+    code, out = run(capsys, *command, "--format", "json", missing, cube, bad)
+    assert code == 1
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert [d["id"] for d in docs] == [str(missing), f"{cube}:1", str(bad)]
+    assert "No such file" in docs[0]["error"]
+    assert "decode" in docs[2]["error"]
+    assert "error" not in docs[1]
+
+
+def test_unreadable_inputs_in_truncate_and_census(tmp_path, capsys):
+    missing, bad = _unreadable_inputs(tmp_path)
+    k4 = tmp_path / "k4.g6"
+    k4.write_text(write_graph6(families.complete(4)) + "\n")
+    code = main(["truncate", str(missing), str(k4), str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.splitlines()) == 1  # the truncation of K4
+    assert [line.split(": ERROR")[0] for line in captured.err.splitlines()] == [
+        str(missing), str(bad)
+    ]
+    code, out = run(capsys, "census", "--format", "json", missing, k4, bad)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["total"] == 1
+    assert [e["graph"] for e in doc["errors"]] == [str(missing), str(bad)]
+
+
+def test_json_input_over_the_cap_is_an_error_record(tmp_path, capsys):
+    p = tmp_path / "big.jsonl"
+    p.write_text(
+        json.dumps({"vertices": 60, "edges": []})
+        + "\n"
+        + json.dumps({"vertices": 3, "edges": [{"id": 0, "ends": [0, 1]}]})
+        + "\n"
+    )
+    code, out = run(capsys, "analyze", "--max-vertices", "50", p)
+    assert code == 1
+    assert out == (
+        f"{p}:1: ERROR 60 vertices exceeds cap 50\n{p}:2: girth=Infinite (forest)\n"
+    )
+    p2 = tmp_path / "big.json"
+    p2.write_text(json.dumps([{"vertices": 60, "edges": []}]))
+    code, out = run(capsys, "analyze", "--max-vertices", "50", p2)
+    assert code == 1
+    assert out == f"{p2}:#1: ERROR 60 vertices exceeds cap 50\n"
+
+
+def test_generate_bad_parameters_is_one_error_line(capsys):
+    code = main(["generate", "cayleyCyclic", "8", "1", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "girthlab: error: [1, 3] not closed under negation mod 8\n"
+
+
+def test_worker_pool_reads_a_bounded_number_of_inputs_ahead():
+    from girthlab.cli import _map_ordered
+
+    produced = []
+
+    def items():
+        for i in range(100):
+            produced.append(i)
+            yield i
+
+    out = []
+    for r in _map_ordered(lambda x: 2 * x, items(), 2):
+        out.append(r)
+        assert len(produced) - len(out) <= 9  # 4 per worker, plus the one submitted last
+    assert out == [2 * i for i in range(100)]

@@ -25,7 +25,7 @@ from girthlab.isomorphism import are_isomorphic
 from girthlab.multigraph import MultiGraph, from_edge_list
 from girthlab.schemes import unique_cubic_scheme
 
-from oracle import graph6_bits_reader
+from oracle import graph6_bits_reader, naive_graph6_line, naive_sparse6_line
 
 
 def test_graph6_against_independent_bit_reader():
@@ -144,6 +144,110 @@ def test_graph6_random_simple_roundtrips():
         h = parse_graph6(line)
         assert write_graph6(h) == line
         assert sorted(e.ends for e in h.edges) == sorted(e.ends for e in g.edges)
+
+
+def _ends(g: MultiGraph) -> list[tuple[int, ...]]:
+    return sorted(e.ends for e in g.edges)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 62, 63, 64, 200, 500])
+def test_graph6_bytes_match_the_definition(n):
+    rng = random.Random(1000 + n)
+    for density in (0.0, 0.02, 0.3, 1.0):
+        pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
+        rng.shuffle(pairs)  # edge ids in random order
+        g = from_edge_list(n, pairs)
+        line = write_graph6(g)
+        assert line == naive_graph6_line(g)
+        h = parse_graph6(line)
+        assert h.n == n and _ends(h) == _ends(g)
+        assert graph6_bits_reader(line) == (n, sorted(_ends(g), key=lambda p: (p[1], p[0])))
+
+
+def _random_multigraph(rng: random.Random, n: int, top: int) -> MultiGraph:
+    """Loops, parallel pairs and plain edges on the vertices 0..top."""
+    pairs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.randint(0, top), rng.randint(0, top)
+        pairs.append((min(u, v), max(u, v)))
+        if rng.random() < 0.2:
+            pairs.append(pairs[-1])  # a parallel copy (or a second loop)
+    return from_edge_list(n, pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 32, 63, 64, 65, 200])
+def test_sparse6_bytes_match_the_definition(n):
+    rng = random.Random(2000 + n)
+    for _ in range(60):
+        # top = n - 2 makes the last vertex idle, where 1-padding can clash
+        top = n - 2 if n >= 2 and rng.random() < 0.5 else n - 1
+        g = _random_multigraph(rng, n, top)
+        line = write_sparse6(g)
+        assert line == naive_sparse6_line(g)
+        h = parse_graph6(line)
+        assert h.n == n and _ends(h) == _ends(g)
+
+
+def test_sparse6_power_of_two_clash_is_exercised():
+    # n = 2^k, last edge at n-2, and k + 1 or more padding bits: the pad
+    # must start with a 0-bit, or it would decode as a loop at n-1
+    for n, pairs in (
+        (2, [(0, 0)]),
+        (4, [(0, 1), (0, 2), (1, 2)]),
+        (8, [(0, 6)]),
+        (16, [(0, 13), (0, 14), (1, 14), (2, 14)]),
+    ):
+        g = from_edge_list(n, pairs)
+        line = write_sparse6(g)
+        assert line == naive_sparse6_line(g)
+        assert _ends(parse_graph6(line)) == _ends(g)
+
+
+def test_empty_graphs_in_both_formats():
+    for n in (0, 1, 2, 63):
+        g = MultiGraph(n, [])
+        assert write_graph6(g) == naive_graph6_line(g)
+        assert write_sparse6(g) == naive_sparse6_line(g)
+        assert parse_graph6(write_sparse6(g)).n == n
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Bww",  # graph6 body one byte too long
+        "Dw",  # graph6 body one byte too short
+        "D?\x7f",  # a byte above 126
+        "D!{",  # a byte below 63
+        ":Fa@x" + "\x7f",  # sparse6 body byte above 126
+        "~",  # truncated 36-bit header
+        "~?",  # truncated 18-bit header
+        "~~?????",  # 36-bit header one byte short
+        ":~?",  # truncated sparse6 header
+        "D?\u00e9",  # non-ascii
+    ],
+)
+def test_malformed_lines_raise_typed_errors(line):
+    with pytest.raises(MalformedEncoding):
+        parse_graph6(line)
+
+
+def test_json_vertex_cap_checked_before_construction(monkeypatch):
+    built = []
+    real_init = MultiGraph.__init__
+
+    def spy(self, n, edges):
+        built.append(n)
+        real_init(self, n, edges)
+
+    monkeypatch.setattr(MultiGraph, "__init__", spy)
+    doc = {"vertices": 51, "edges": [{"id": 0, "ends": [0, 1]}]}
+    with pytest.raises(VertexCountOverflow, match="51 vertices exceeds cap 50"):
+        read_multigraph_json_full(doc, cap=50)
+    with pytest.raises(VertexCountOverflow):
+        read_multigraph_json_full(json.dumps(doc), cap=50)
+    assert built == []
+    assert read_multigraph_json_full(doc, cap=51)[0].n == 51
+    assert built == [51]
 
 
 def test_corpus_lines_roundtrip_byte_exact(cubic14):

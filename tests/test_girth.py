@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import random
+import time
 
 import pytest
 
@@ -124,6 +125,21 @@ def test_forest_girth_is_none_but_reports_reject():
         girth_report(tree)
     with pytest.raises(InfiniteGirth):
         epsilon(tree, 0)
+
+
+def test_girth_peels_trees_in_linear_time():
+    n = 20_000
+    tree = from_edge_list(n, [((i - 1) // 2, i) for i in range(1, n)])
+    start = time.perf_counter()
+    assert girth(tree) is None
+    assert time.perf_counter() - start < 1.0
+    # a 50-cycle with n tree vertices hanging off it: 50 + t hangs off
+    # cycle vertex t for t < 50, else off 50 + (t - 50) // 2
+    cycle = [(i, (i + 1) % 50) for i in range(50)]
+    pendant = [(t if t < 50 else 50 + (t - 50) // 2, 50 + t) for t in range(n)]
+    start = time.perf_counter()
+    assert girth(from_edge_list(50 + n, cycle + pendant)) == 50
+    assert time.perf_counter() - start < 1.0
 
 
 def test_multigraph_girth_conventions():
