@@ -25,7 +25,7 @@ from .girth import (
 from .isomorphism import are_isomorphic, find_isomorphism, is_vertex_transitive
 from .laws import Classification, LawResult, census, check_all_laws, classify_g5
 from .maps import ClosedWalk, MapComplex, build_map, decompose_112, map_from_222, truncate_map
-from .multigraph import Arc, MultiGraph, SimpleGraphView, from_edge_list
+from .multigraph import Arc, MultiGraph, from_edge_list
 from .schemes import DihedralScheme, TruncationResult, decompose_011, truncate, unique_cubic_scheme
 
 __version__ = "0.1.0"
@@ -40,7 +40,6 @@ __all__ = [
     "LawResult",
     "MapComplex",
     "MultiGraph",
-    "SimpleGraphView",
     "TruncationResult",
     "TwoPathCounts",
     "are_isomorphic",

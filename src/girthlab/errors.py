@@ -54,8 +54,9 @@ class NotCubicVertex(GirthLabError):
 
 class GirthInvariantViolation(GirthLabError):
     """A girth-cycle invariant failed: the ε counts do not add up to whole
-    cycles, a shortest path below the girth radius is not unique, or a
-    cycle rebuilt from the partition around an edge is not a girth cycle."""
+    cycles, a shortest path below the girth radius is not unique, a cycle
+    rebuilt from the partition around an edge is not a girth cycle, or a
+    decomposition finds the girth cycles and ε not as its signature says."""
 
 
 # --- schemes / maps ---

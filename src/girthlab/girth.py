@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
-from .multigraph import Edge, MultiGraph
+from .multigraph import Arc, Edge, MultiGraph
 
 Ball = dict[int, int]
 Witness = tuple[int, int | None, int]  # (x, far edge or None, y)
@@ -48,7 +48,9 @@ def girth(g: MultiGraph) -> int | None:
 
     Loops give girth 1 and a parallel pair girth 2; otherwise the girth
     of the simple graph via rooted BFS over its 2-core, each cut off at
-    half the best cycle found so far.
+    half the best cycle found so far. Only core vertices of degree >= 3
+    are roots: a cycle through none of them is a whole core component,
+    a bare cycle as long as its vertex count.
     """
     if g.has_loops:
         return 1
@@ -56,7 +58,8 @@ def girth(g: MultiGraph) -> int | None:
         return 2
     neighbors = g.neighbors
     roots: Iterable[int] = range(g.n)
-    if min(g.degrees, default=2) <= 1:
+    best: int | None = None
+    if min(g.degrees, default=3) < 3:
         # peel vertices of degree <= 1: no cycle passes through them
         deg = list(g.degrees)
         gone = [d <= 1 for d in deg]
@@ -68,15 +71,25 @@ def girth(g: MultiGraph) -> int | None:
                     if deg[w] <= 1:
                         gone[w] = True
                         stack.append(w)
-        roots = [v for v, out in enumerate(gone) if not out]
-        if not roots:
-            return None
         adj = [tuple(p for p in neighbors(v) if not gone[p[0]]) for v in range(g.n)]
         neighbors = adj.__getitem__
+        roots = [v for v in range(g.n) if not gone[v] and deg[v] >= 3]
+        seen = gone[:]
+        for s in range(g.n):
+            if seen[s]:
+                continue
+            seen[s] = True
+            comp = [s]
+            for v in comp:  # the loop also visits what it appends
+                for w, _ in neighbors(v):
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            if all(deg[v] == 2 for v in comp) and (best is None or len(comp) < best):
+                best = len(comp)
     # reset after each root, so that a BFS costs only what it visits
     dist = [-1] * g.n
     up: list[int | None] = [None] * g.n  # the tree edge to the BFS parent
-    best: int | None = None
     for root in roots:
         dist[root], up[root] = 0, None
         queue = [root]
@@ -204,9 +217,11 @@ def _path_down(g: MultiGraph, ball: Ball, x: int) -> list[int]:
     return path
 
 
-def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
-    """All girth cycles, each as its set of edge ids."""
-    gir = _require_finite(g)
+def girth_cycles(g: MultiGraph, gir: int | None = None) -> list[frozenset[int]]:
+    """All girth cycles, each as its set of edge ids. Pass the girth when
+    already known to skip recomputing it."""
+    if gir is None:
+        gir = _require_finite(g)
     found: set[frozenset[int]] = set()
     for e in g.edges:
         far, bu, bv = _far(g, gir, e)
@@ -223,27 +238,23 @@ def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     return sorted(found, key=sorted)
 
 
-def cycle_vertex_order(g: MultiGraph, cycle: Iterable[int]) -> list[int]:
-    """Vertices of a cycle (given as edge ids) in traversal order,
-    starting at the least vertex, toward its lesser neighbor."""
-    edges = [g.edge(eid) for eid in cycle]
-    if len(edges) == 1:  # loop
-        return [edges[0].ends[0]]
-    nxt: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = e.ends[0], e.ends[-1]
-        nxt.setdefault(u, []).append(v)
-        nxt.setdefault(v, []).append(u)
-    start = min(nxt)
-    order = [start]
-    prev = None
-    cur = start
-    for _ in range(len(edges) - 1):
-        a, b = sorted(nxt[cur])
-        step = a if a != prev else b
-        order.append(step)
-        prev, cur = cur, step
-    return order
+def cycle_arcs(g: MultiGraph, cycle: Iterable[int]) -> list[Arc]:
+    """The arcs of a cycle (given as edge ids) in traversal order, each
+    arc's tail the head of the one before: from the least vertex, toward
+    its lesser neighbour."""
+    at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, edge id)
+    for eid in cycle:
+        ends = g.edge(eid).ends
+        u, v = ends[0], ends[-1]
+        at.setdefault(u, []).append((v, eid))
+        at.setdefault(v, []).append((u, eid))
+    v, prev = min(at), None
+    arcs = []
+    for _ in range(len(at)):  # a cycle has as many edges as vertices
+        w, eid = min(p for p in at[v] if p[1] != prev)
+        arcs.append(Arc(v, eid, g.edge(eid).ends.index(v)))
+        v, prev = w, eid
+    return arcs
 
 
 # --- direct path-count of cycles through an edge or a 2-path ---

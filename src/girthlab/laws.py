@@ -9,15 +9,15 @@ violation independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from . import families
 from .errors import Disconnected, GirthLabError, InfiniteGirth, PreconditionViolation, SizeCapExceeded
-from .girth import GirthReport, girth, girth_report
+from .girth import GirthReport, girth_report
 from .isomorphism import DEFAULT_ISO_CAP, find_isomorphism
 from .maps import decompose_112, map_from_222, truncate_map
 from .multigraph import MultiGraph
-from .schemes import DihedralScheme, decompose_011, truncate
+from .schemes import decompose_011, truncate
 
 LAW_IDS = (
     "thm1",
@@ -67,37 +67,17 @@ OUTSIDE = "OutsideTheorem"
 
 @dataclass(frozen=True)
 class Classification:
+    """A classification case. `witness` is the decomposition the case
+    rests on: (base, scheme) for Trunc011, (map, X/Y split) at signature
+    (1,1,2). `model` is the named graph tested for isomorphism with g."""
+
     case: str
     detail: dict[str, Any] = field(default_factory=dict)
-    witness: Optional[tuple[MultiGraph, DihedralScheme]] = None
+    witness: Any = None
+    model: Optional[MultiGraph] = None
 
     def to_json(self) -> dict[str, Any]:
         return {"case": self.case, "detail": self.detail}
-
-
-def _x_cycle_count(report: GirthReport, g: MultiGraph) -> int:
-    """Components of the subgraph on the single-girth-cycle edges."""
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for eid, c in report.epsilon.items():
-        if c == 1:
-            u, v = g.edge(eid).ends
-            adj[u].append(v)
-            adj[v].append(u)
-    seen: set[int] = set()
-    comps = 0
-    for v in range(g.n):
-        if v in seen or not adj[v]:
-            continue
-        comps += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return comps
 
 
 def classify_g5(
@@ -118,13 +98,14 @@ def classify_g5(
         raise PreconditionViolation(f"girth {report.girth} > 5")
     gir = report.girth
 
-    def confirmed(case: str, model: MultiGraph, detail: dict[str, Any]) -> Classification:
+    def confirmed(case: str, model: MultiGraph, detail: dict[str, Any], witness: Any = None) -> Classification:
         if find_isomorphism(g, model, cap=iso_cap) is None:
-            return Classification(OUTSIDE, {"girth": gir, "signature": list(sig), "reason": f"not isomorphic to {case}"})
-        return Classification(case, detail)
+            detail = {"girth": gir, "signature": list(sig), "reason": f"not isomorphic to {case}"}
+            case = OUTSIDE
+        return Classification(case, detail, witness, model)
 
     if sig == (0, 1, 1):
-        lam, scheme = decompose_011(g)
+        lam, scheme = decompose_011(g, report)
         return Classification(TRUNC011, {"girth": gir, "baseVertices": lam.n}, (lam, scheme))
     if gir == 3 and sig == (2, 2, 2):
         return confirmed(K4, families.complete(4), {})
@@ -135,12 +116,14 @@ def classify_g5(
             return confirmed(Q3, families.cube_q3(), {})
         if sig == (1, 1, 2):
             n = g.n // 2
-            comps = _x_cycle_count(report, g)
+            split = decompose_112(g, report)
+            comps = split[0].skeleton.n  # the X-cycles
             if comps == 2:
-                return confirmed(PRISM_OR_MOBIUS, families.prism(n), {"family": "prism", "n": n})
+                return confirmed(PRISM_OR_MOBIUS, families.prism(n), {"family": "prism", "n": n}, split)
             if comps == 1:
-                return confirmed(PRISM_OR_MOBIUS, families.mobius(n), {"family": "mobius", "n": n})
-            return Classification(OUTSIDE, {"girth": gir, "signature": list(sig), "reason": f"{comps} single-cycle components"})
+                return confirmed(PRISM_OR_MOBIUS, families.mobius(n), {"family": "mobius", "n": n}, split)
+            detail = {"girth": gir, "signature": list(sig), "reason": f"{comps} single-cycle components"}
+            return Classification(OUTSIDE, detail, split)
     if gir == 5:
         if sig == (4, 4, 4):
             return confirmed(PETERSEN, families.petersen(), {})
@@ -152,22 +135,8 @@ def classify_g5(
 def canonical_graph(c: Classification) -> MultiGraph | None:
     """Re-expand a classification case to a concrete graph."""
     if c.case == TRUNC011:
-        assert c.witness is not None
         return truncate(c.witness[1]).graph
-    if c.case == K4:
-        return families.complete(4)
-    if c.case == K33:
-        return families.complete_bipartite(3, 3)
-    if c.case == Q3:
-        return families.cube_q3()
-    if c.case == PETERSEN:
-        return families.petersen()
-    if c.case == DODECAHEDRON:
-        return families.dodecahedron()
-    if c.case == PRISM_OR_MOBIUS:
-        n = c.detail["n"]
-        return families.prism(n) if c.detail["family"] == "prism" else families.mobius(n)
-    return None
+    return None if c.case == OUTSIDE else c.model
 
 
 _EXTREMAL_EVEN = {4: "completeBipartite", 6: "heawood", 8: "tutteCoxeter", 12: "tutte12Cage"}
@@ -190,11 +159,12 @@ def check_all_laws(
     report: GirthReport | None = None,
     iso_cap: int = DEFAULT_ISO_CAP,
 ) -> list[LawResult]:
-    """Evaluate every law with its own applicability gate."""
+    """Evaluate every law with its own applicability gate. Each per-graph
+    quantity is computed once and shared between the laws: the report,
+    the classification with the decomposition it rests on, and the
+    isomorphism to each model."""
     if not g.is_connected():
         raise Disconnected("laws are stated for connected graphs")
-    if girth(g) is None:
-        raise InfiniteGirth("graph is a forest")
     if report is None:
         report = girth_report(g)
     gir = report.girth
@@ -205,11 +175,32 @@ def check_all_laws(
     cubic_gr = girth_regular and k == 3 and g.is_simple
     results: list[LawResult] = []
 
-    def iso_or_cap(model: MultiGraph) -> bool | None:
+    classified: Classification | GirthLabError | None = None
+    if cubic_gr and gir <= 5:
         try:
-            return find_isomorphism(g, model, cap=iso_cap) is not None
-        except SizeCapExceeded:
-            return None
+            classified = classify_g5(g, report, iso_cap=iso_cap)
+        except GirthLabError as exc:
+            classified = exc
+    verdicts: dict[MultiGraph, bool | None] = {}
+    if isinstance(classified, Classification) and classified.model is not None:
+        verdicts[classified.model] = classified.case != OUTSIDE
+
+    def iso(model: MultiGraph) -> bool | None:
+        """Whether g is isomorphic to the model; None past the size cap."""
+        if model not in verdicts:
+            try:
+                verdicts[model] = find_isomorphism(g, model, cap=iso_cap) is not None
+            except SizeCapExceeded:
+                verdicts[model] = None
+        return verdicts[model]
+
+    def decomposition(decompose: Callable[[MultiGraph, GirthReport], Any]) -> Any:
+        """The decomposition classify_g5 built, else a new one."""
+        if isinstance(classified, Classification) and classified.witness is not None:
+            return classified.witness
+        if isinstance(classified, GirthLabError) and not isinstance(classified, SizeCapExceeded):
+            raise classified
+        return decompose(g, report)
 
     # thm1: extremal bound on the per-edge counts
     if k is not None:
@@ -229,7 +220,7 @@ def check_all_laws(
                 ok = False
                 wit = {"reason": f"no generalised polygon for girth {gir}"}
             else:
-                ok = iso_or_cap(model)
+                ok = iso(model)
                 wit = {"model": _EXTREMAL_EVEN[gir]} if ok else wit
         results.append(LawResult("thm2", True, ok, wit))
     else:
@@ -237,9 +228,9 @@ def check_all_laws(
 
     # thm3: odd-girth equality case forces K4 or Petersen
     if cubic_gr and gir % 2 == 1 and sig[-1] == 2**d:
-        ok = iso_or_cap(families.complete(4))
+        ok = iso(families.complete(4))
         if ok is False:
-            ok = iso_or_cap(families.petersen())
+            ok = iso(families.petersen())
         results.append(LawResult("thm3", True, ok, {"signature": list(sig)}))
     else:
         results.append(LawResult("thm3", False, None))
@@ -281,31 +272,27 @@ def check_all_laws(
         )
 
     # thm3.6: (0,1,1) graphs are truncations of g-regular schemes
-    if cubic_gr and g.is_connected() and sig == (0, 1, 1):
+    thm36 = LawResult("thm3.6", False, None)
+    if cubic_gr and sig == (0, 1, 1):
         try:
-            lam, scheme = decompose_011(g)
+            lam, scheme = decomposition(decompose_011)
             ok = lam.is_regular() == gir and not lam.has_loops
             wit = {"baseVertices": lam.n, "baseRegular": lam.is_regular()}
             if ok:
-                try:
-                    back = truncate(scheme).graph
-                    ok = find_isomorphism(g, back, cap=iso_cap) is not None
-                except SizeCapExceeded:
-                    ok = None
+                ok = iso(truncate(scheme).graph)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
-        results.append(LawResult("thm3.6", True, ok, wit))
-    else:
-        results.append(LawResult("thm3.6", False, None))
+        thm36 = LawResult("thm3.6", True, ok, wit)
+    results.append(thm36)
 
     # thm3.9: (2,2,2) graphs are skeletons of {g,3}-maps
     if cubic_gr and sig == (2, 2, 2):
         try:
-            m = map_from_222(g)
+            m = map_from_222(g, report)
             chi = m.euler_characteristic
             ok = (3 * g.n) % gir == 0 and chi == g.n - (3 * g.n) // 2 + (3 * g.n) // gir and chi <= 2
             wit = {"chi": chi, "faces": len(m.faces)}
-        except (GirthLabError, AssertionError) as exc:
+        except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
         results.append(LawResult("thm3.9", True, ok, wit))
     else:
@@ -315,9 +302,9 @@ def check_all_laws(
     if cubic_gr and sig == (1, 1, 2):
         try:
             ok = gir % 2 == 0 and g.n % (gir // 2) == 0
-            wit: Any = {"girth": gir}
+            wit = {"girth": gir}
             if ok:
-                m, coloring = decompose_112(g)
+                m, coloring = decomposition(decompose_112)
                 wit = {
                     "chi": m.euler_characteristic,
                     "skeletonVertices": m.skeleton.n,
@@ -325,32 +312,22 @@ def check_all_laws(
                 }
                 ok = len(coloring["Y"]) == g.n // 2
                 if ok:
-                    try:
-                        back = truncate_map(m).graph
-                        ok = find_isomorphism(g, back, cap=iso_cap) is not None
-                    except SizeCapExceeded:
-                        ok = None
-        except (GirthLabError, AssertionError) as exc:
+                    ok = iso(truncate_map(m).graph)
+        except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
         results.append(LawResult("thm3.11", True, ok, wit))
     else:
         results.append(LawResult("thm3.11", False, None))
 
-    # thm-main: the girth <= 5 classification
-    if cubic_gr and gir <= 5:
-        try:
-            cls = classify_g5(g, report, iso_cap=iso_cap)
-            ok = cls.case != OUTSIDE
-            if ok:
-                model = canonical_graph(cls)
-                assert model is not None
-                try:
-                    ok = find_isomorphism(g, model, cap=iso_cap) is not None
-                except SizeCapExceeded:
-                    ok = None
-            results.append(LawResult("thm-main", True, ok, cls.to_json()))
-        except GirthLabError as exc:
-            results.append(LawResult("thm-main", True, False, {"error": str(exc)}))
+    # thm-main: the girth <= 5 classification; classify_g5 confirmed a
+    # named case by isomorphism, and a Trunc011 case holds by thm3.6
+    if isinstance(classified, Classification):
+        ok = thm36.holds if classified.case == TRUNC011 else classified.case != OUTSIDE
+        results.append(LawResult("thm-main", True, ok, classified.to_json()))
+    elif classified is not None:
+        # past the isomorphism cap the case is unverified, not refuted
+        ok = None if isinstance(classified, SizeCapExceeded) else False
+        results.append(LawResult("thm-main", True, ok, {"error": str(classified)}))
     else:
         results.append(LawResult("thm-main", False, None))
 
@@ -432,11 +409,11 @@ def evaluate_for_census(
     gid: str, g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP
 ) -> tuple[tuple, GirthReport | None, list[LawResult]]:
     """Bucket key, report and law results for a single census graph."""
-    gir = girth(g)
-    if gir is None:
+    try:
+        report = girth_report(g)
+    except InfiniteGirth:
         return (None, None), None, []
-    report = girth_report(g)
-    key = (gir, report.regular)
+    key = (report.girth, report.regular)
     try:
         laws = check_all_laws(g, report, iso_cap=iso_cap)
     except Disconnected:

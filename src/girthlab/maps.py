@@ -16,14 +16,15 @@ from .codec import arc_ref, write_multigraph_json
 from .errors import (
     Disconnected,
     EdgeCoverageViolation,
+    GirthInvariantViolation,
     InvalidScheme,
     NotDihedral,
     OddGirth,
     WrongSignature,
 )
-from .girth import cycle_vertex_order, girth_cycles, girth_report
+from .girth import GirthReport, cycle_arcs, girth_cycles, girth_report
 from .multigraph import Arc, MultiGraph
-from .schemes import DihedralScheme, TruncationResult, truncate
+from .schemes import DihedralScheme, TruncationResult, least_rotation, truncate
 
 
 @dataclass(frozen=True)
@@ -46,14 +47,7 @@ class ClosedWalk:
         if len(set(edge_ids)) != len(edge_ids):
             raise EdgeCoverageViolation("walk traverses an edge twice")
         reverse = tuple(g.inverse(a) for a in reversed(arcs))
-        best: tuple[Arc, ...] | None = None
-        for seq in (arcs, reverse):
-            start = seq.index(min(seq))
-            cand = seq[start:] + seq[:start]
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        return cls(best)
+        return cls(min(least_rotation(arcs), least_rotation(reverse)))
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -142,8 +136,8 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
     except InvalidScheme as exc:
         raise NotDihedral(str(exc)) from exc
 
+    # a connected closed surface: chi <= 2
     chi = g.n - g.edge_count + len(normalized)
-    assert chi <= 2, "Euler characteristic above 2 on a validated map"
     return MapComplex(g, tuple(sorted(normalized)), scheme, chi)
 
 
@@ -152,73 +146,57 @@ def truncate_map(m: MapComplex) -> TruncationResult:
     return truncate(m.scheme_induced)
 
 
-def _regular_girth_report(g: MultiGraph, want: tuple[int, ...]):
+def _regular_girth_report(
+    g: MultiGraph, want: tuple[int, ...], report: GirthReport | None
+) -> GirthReport:
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
     if not g.is_connected():
         raise Disconnected("decomposition needs a connected graph")
-    report = girth_report(g)
+    if report is None:
+        report = girth_report(g)
     if report.regular != want:
         raise WrongSignature(f"signature {report.regular} != {want}")
     return report
 
 
-def _walk_of_cycle(g: MultiGraph, cycle: frozenset[int]) -> ClosedWalk:
-    pair_eid = {g.edge(eid).ends: eid for eid in cycle}
-    vs = cycle_vertex_order(g, cycle)
-    arcs = []
-    for i, u in enumerate(vs):
-        v = vs[(i + 1) % len(vs)]
-        eid = pair_eid[(min(u, v), max(u, v))]
-        ends = g.edge(eid).ends
-        arcs.append(Arc(u, eid, ends.index(u)))
-    return ClosedWalk.from_arcs(g, arcs)
-
-
-def map_from_222(g: MultiGraph) -> MapComplex:
+def map_from_222(g: MultiGraph, report: GirthReport | None = None) -> MapComplex:
     """A girth-regular (2,2,2) cubic graph is the skeleton of the map whose
     faces are its girth cycles; the Euler characteristic satisfies
-    chi = n(3/g - 1/2) as an exact integer identity."""
-    report = _regular_girth_report(g, (2, 2, 2))
-    walks = [_walk_of_cycle(g, c) for c in girth_cycles(g)]
-    m = build_map(g, walks)
-    n, gir = g.n, report.girth
-    assert (3 * n) % gir == 0, "face count 3n/g is not an integer"
-    assert (3 * n) % 2 == 0
-    chi = n - (3 * n) // 2 + (3 * n) // gir
-    assert m.euler_characteristic == chi
-    return m
+    chi = n(3/g - 1/2) as an exact integer identity, since the 3n/g faces
+    of length g cover each of the 3n/2 edges twice. Pass the girth report
+    when already known to skip recomputing it."""
+    report = _regular_girth_report(g, (2, 2, 2), report)
+    cycles = girth_cycles(g, report.girth)
+    return build_map(g, [ClosedWalk.from_arcs(g, cycle_arcs(g, c)) for c in cycles])
 
 
-def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
+def decompose_112(
+    g: MultiGraph, report: GirthReport | None = None
+) -> tuple[MapComplex, dict[str, list[int]]]:
     """Invert the map truncation of a girth-regular (1,1,2) graph.
 
     The witness splits the edges into X (on exactly one girth cycle) and
     Y (on two); Y is a perfect matching, the X-cycles become the map's
     vertices and each girth cycle contracts to a face walk of length g/2.
+    Pass the girth report when already known to skip recomputing it.
     """
-    report = _regular_girth_report(g, (1, 1, 2))
+    report = _regular_girth_report(g, (1, 1, 2), report)
     if report.girth % 2:
         raise OddGirth(f"(1,1,2) graph reported odd girth {report.girth}")
     x_edges = sorted(eid for eid, c in report.epsilon.items() if c == 1)
     y_edges = sorted(eid for eid, c in report.epsilon.items() if c == 2)
-    assert len(x_edges) + len(y_edges) == g.edge_count
-
-    # Y is a perfect matching
-    y_at: dict[int, int] = {}
-    for eid in y_edges:
-        for v in g.edge(eid).ends:
-            assert v not in y_at, "two double-counted edges at one vertex"
-            y_at[v] = eid
-    assert len(y_at) == g.n
+    y_at = {v: eid for eid in y_edges for v in g.edge(eid).ends}
+    # then X is a 2-factor: the other two edges at each vertex
+    if len(x_edges) + len(y_edges) != g.edge_count or not 2 * len(y_edges) == len(y_at) == g.n:
+        raise GirthInvariantViolation("ε is not 1 on a 2-factor and 2 on a perfect matching")
 
     # X-cycles cover the vertices; index them by least vertex id
-    x_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
+    x_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
     for eid in x_edges:
         u, v = g.edge(eid).ends
-        x_adj[u].append((v, eid))
-        x_adj[v].append((u, eid))
-    assert all(len(a) == 2 for a in x_adj.values())
+        x_adj[u].append(v)
+        x_adj[v].append(u)
     cycle_of: dict[int, int] = {}
     reps: list[int] = []
     for v in range(g.n):
@@ -229,7 +207,7 @@ def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
         prev = None
         cur = v
         while True:
-            a, b = (w for w, _ in x_adj[cur])
+            a, b = x_adj[cur]
             nxt = a if a != prev else b
             if nxt == v:
                 break
@@ -258,24 +236,15 @@ def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
         u, v = g.edge(eid).ends
         return Arc(ci, eid, 0 if original_tail == u else 1)
 
+    # each girth cycle alternates X and Y; its g/2 Y-edges walk a face
     walks = []
     y_set = set(y_edges)
-    for cyc in girth_cycles(g):
-        vs = cycle_vertex_order(g, cyc)
-        pair_eid = {g.edge(eid).ends: eid for eid in cyc}
-        gl = len(vs)
-        seq = [pair_eid[(min(vs[i], vs[(i + 1) % gl]), max(vs[i], vs[(i + 1) % gl]))] for i in range(gl)]
-        kinds = ["Y" if eid in y_set else "X" for eid in seq]
-        assert all(kinds[i] != kinds[(i + 1) % gl] for i in range(gl)), (
-            "girth-cycle edges do not alternate between X and Y"
-        )
-        arcs = []
-        for i in range(gl):
-            if kinds[i] == "Y":
-                arcs.append(lam_arc(seq[i], vs[i]))
-        assert len(arcs) == report.girth // 2
-        walks.append(ClosedWalk.from_arcs(lam, arcs))
+    for cyc in girth_cycles(g, report.girth):
+        arcs = cycle_arcs(g, cyc)
+        on_y = [a.edge in y_set for a in arcs]
+        if any(on_y[i] == on_y[i - 1] for i in range(len(arcs))):
+            raise GirthInvariantViolation(f"girth cycle {sorted(cyc)} does not alternate between X and Y")
+        walks.append(ClosedWalk.from_arcs(lam, [lam_arc(a.edge, a.tail) for a, y in zip(arcs, on_y) if y]))
 
     m = build_map(lam, walks)
-    assert g.n % (report.girth // 2) == 0, "g/2 must divide n"
     return m, {"X": x_edges, "Y": y_edges}

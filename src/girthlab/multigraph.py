@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DanglingEndpoint, NotSimple, SchemaViolation
+from .errors import DanglingEndpoint, SchemaViolation
 
 
 class Edge(NamedTuple):
@@ -95,9 +95,6 @@ class MultiGraph:
 
     def edge(self, eid: int) -> Edge:
         return self._by_id[eid]
-
-    def has_edge_id(self, eid: int) -> bool:
-        return eid in self._by_id
 
     def degree(self, v: int) -> int:
         return self._degrees[v]
@@ -220,25 +217,7 @@ class MultiGraph:
         return iter(range(self._n))
 
 
-@dataclass(frozen=True, slots=True)
-class SimpleGraphView:
-    """A multigraph paired with the no-loops/no-parallels validity flag."""
-
-    graph: MultiGraph
-    valid: bool
-
-    @classmethod
-    def of(cls, g: MultiGraph) -> "SimpleGraphView":
-        return cls(g, g.is_simple)
-
-
 def from_edge_list(n: int, pairs: Iterable[Sequence[int]]) -> MultiGraph:
     """Build a graph from (u, v) pairs; ids are assigned 0,1,2,... in order.
     A pair (v, v) or a singleton (v,) makes a loop."""
     return MultiGraph(n, list(enumerate(pairs)))
-
-
-def require_simple(g: MultiGraph) -> MultiGraph:
-    if not g.is_simple:
-        raise NotSimple("graph has loops or parallel edges")
-    return g

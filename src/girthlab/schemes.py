@@ -11,24 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
-from .girth import cycle_vertex_order, girth_cycles, girth_report
+from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
+from .girth import GirthReport, cycle_arcs, girth_cycles, girth_report
 from .multigraph import Arc, MultiGraph
 
 
-def _normalize_cycle(arcs: Sequence[Arc]) -> tuple[Arc, ...]:
-    """Canonical representative of a cyclic sequence up to rotation and
-    reflection (the underlying relation is direction-free)."""
-    arcs = tuple(arcs)
-    k = len(arcs)
-    best: tuple[Arc, ...] | None = None
-    for seq in (arcs, tuple(reversed(arcs))):
-        start = seq.index(min(seq))
-        cand = seq[start:] + seq[:start]
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+def least_rotation(seq: Sequence[Arc]) -> tuple[Arc, ...]:
+    """The rotation of a cyclic sequence that starts at its least element."""
+    k = seq.index(min(seq))
+    return tuple(seq[k:]) + tuple(seq[:k])
 
 
 @dataclass(frozen=True)
@@ -57,7 +48,8 @@ class DihedralScheme:
                 raise InvalidScheme(
                     f"rotation at vertex {v} does not list out({v}) exactly once"
                 )
-            by_vertex[v] = _normalize_cycle(cyc)
+            # the relation is direction-free: take the lesser direction
+            by_vertex[v] = min(least_rotation(cyc), least_rotation(cyc[::-1]))
         for v in range(base.n):
             if base.degree(v) < 3:
                 raise InvalidScheme(f"vertex {v} has valence {base.degree(v)} < 3")
@@ -113,7 +105,9 @@ def truncate(scheme: DihedralScheme) -> TruncationResult:
         tuple(sorted((index[a], index[b]))) for a, b in map(tuple, rot_pairs | inv_pairs)
     )
     graph = MultiGraph(len(arcs), list(enumerate(pairs)))
-    assert all(graph.degree(v) == 3 for v in range(graph.n))
+    if any(d != 3 for d in graph.degrees):
+        # only a scheme built without from_rotations gets here
+        raise InvalidScheme("truncation is not cubic: a rotation is no cycle over out(v)")
     return TruncationResult(graph, {i: a for i, a in enumerate(arcs)})
 
 
@@ -126,61 +120,48 @@ def unique_cubic_scheme(g: MultiGraph) -> DihedralScheme:
     return DihedralScheme.from_rotations(g, [g.out_arcs(v) for v in range(g.n)])
 
 
-def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
+def decompose_011(
+    g: MultiGraph, report: GirthReport | None = None
+) -> tuple[MultiGraph, DihedralScheme]:
     """Invert the truncation of a girth-regular (0,1,1) graph.
 
     The base has one vertex per girth cycle and one edge per edge lying on
     no girth cycle; rotations follow consecutive attachment points along
     each girth cycle. Λ keeps the original edge ids of the matching edges.
+    Pass the girth report when already known to skip recomputing it.
     """
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
-    report = girth_report(g)
+    if report is None:
+        report = girth_report(g)
     if report.regular is None:
         raise NotGirthRegular("vertex signatures differ")
     if report.regular != (0, 1, 1):
         raise WrongSignature(f"signature {report.regular} != (0, 1, 1)")
 
-    cycles = girth_cycles(g)
-    cycle_vertices = [set(cycle_vertex_order(g, c)) for c in cycles]
-    order = sorted(range(len(cycles)), key=lambda i: min(cycle_vertices[i]))
-    cycles = [cycles[i] for i in order]
-    cycle_vertices = [cycle_vertices[i] for i in order]
-
+    # each walk starts at its least vertex: order the cycles by it
+    walks = sorted((cycle_arcs(g, c) for c in girth_cycles(g, report.girth)), key=lambda w: w[0].tail)
     cycle_of: dict[int, int] = {}
-    for ci, vs in enumerate(cycle_vertices):
-        for v in vs:
-            assert v not in cycle_of, "a vertex lies on two girth cycles"
-            cycle_of[v] = ci
-    assert len(cycle_of) == g.n, "some vertex lies on no girth cycle"
-
+    for ci, walk in enumerate(walks):
+        for a in walk:
+            if a.tail in cycle_of:
+                raise GirthInvariantViolation(f"vertex {a.tail} lies on two girth cycles")
+            cycle_of[a.tail] = ci
+    if len(cycle_of) != g.n:
+        raise GirthInvariantViolation("some vertex lies on no girth cycle")
     matching = [e for e in g.edges if report.epsilon[e.id] == 0]
+    m_at = {v: e.id for e in matching for v in e.ends}  # matching edge at each vertex
+    if not 2 * len(matching) == len(m_at) == g.n:
+        raise GirthInvariantViolation("the edges on no girth cycle are not a perfect matching")
     lam_edges = []
     for e in matching:
-        u, v = e.ends
-        cu, cv = cycle_of[u], cycle_of[v]
-        assert cu != cv, "matching edge inside one girth cycle"
+        cu, cv = (cycle_of[v] for v in e.ends)
+        if cu == cv:
+            raise GirthInvariantViolation(f"edge {e.id}, counted on no girth cycle, joins two vertices of one")
         lam_edges.append((e.id, (cu, cv)))
-    lam = MultiGraph(len(cycles), lam_edges)
-
-    # matching edge at each vertex of g
-    m_at: dict[int, int] = {}
-    for e in matching:
-        for v in e.ends:
-            m_at[v] = e.id
-
-    rotations = []
-    for ci in range(len(cycles)):
-        walk = cycle_vertex_order(g, cycles[ci])
-        rot = []
-        for v in walk:
-            eid = m_at[v]
-            ends = lam.edge(eid).ends
-            if len(ends) == 2:
-                end = ends.index(ci)
-            else:  # cannot happen: asserted loop-free above
-                end = 0
-            rot.append(Arc(ci, eid, end))
-        rotations.append(tuple(rot))
-    scheme = DihedralScheme.from_rotations(lam, rotations)
-    return lam, scheme
+    lam = MultiGraph(len(walks), lam_edges)
+    rotations = [
+        [Arc(ci, m_at[a.tail], lam.edge(m_at[a.tail]).ends.index(ci)) for a in walk]
+        for ci, walk in enumerate(walks)
+    ]
+    return lam, DihedralScheme.from_rotations(lam, rotations)

@@ -10,7 +10,7 @@ from girthlab import families
 from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from girthlab.girth import (
     check_partition_facts,
-    cycle_vertex_order,
+    cycle_arcs,
     distance_partition,
     distance_partition_2path,
     epsilon,
@@ -140,6 +140,55 @@ def test_girth_peels_trees_in_linear_time():
     start = time.perf_counter()
     assert girth(from_edge_list(50 + n, cycle + pendant)) == 50
     assert time.perf_counter() - start < 1.0
+
+
+def _subdivided(rng: random.Random, g: MultiGraph) -> MultiGraph:
+    """g with each edge made a path of 1 to 4 edges, maybe a bare cycle
+    beside it, and pendant trees hung anywhere: vertices of degree 1 and 2
+    everywhere, and core components with and without degree-3 vertices."""
+    n, pairs = g.n, []
+    for e in g.edges:
+        inner = list(range(n, n + rng.randrange(4)))
+        n += len(inner)
+        path = [e.ends[0], *inner, e.ends[-1]]
+        pairs += zip(path, path[1:])
+    if rng.random() < 0.6:
+        ring = rng.randint(3, 40)
+        pairs += [(n + i, n + (i + 1) % ring) for i in range(ring)]
+        n += ring
+    for _ in range(rng.randrange(12) if n else 0):
+        pairs.append((rng.randrange(n), n))
+        n += 1
+    return from_edge_list(n, pairs)
+
+
+def test_girth_of_subdivided_graphs_matches_oracle():
+    rng = random.Random(31)
+    graphs = [_subdivided(rng, g) for g in RANDOM_GRAPHS for _ in range(3)]
+    graphs += [_subdivided(rng, MultiGraph(0, [])) for _ in range(6)]
+    want = [naive_girth(g) for g in graphs]
+    assert None in want and {1, 2, 3} < set(want) and max(w or 0 for w in want) > 20
+    assert [girth(g) for g in graphs] == want
+
+
+def test_girth_is_linear_when_the_girth_is_near_n():
+    # three paths of 5 000 edges between the vertices 0 and 1
+    theta, n = [], 2
+    for _ in range(3):
+        path = [0, *range(n, n + 4_999), 1]
+        n += 4_999
+        theta += zip(path, path[1:])
+    # a 10 000-cycle with 10 000 tree vertices hanging off it, as above
+    ring = [(i, (i + 1) % 10_000) for i in range(10_000)]
+    pendant = [(t if t < 10_000 else 10_000 + (t - 10_000) // 2, 10_000 + t) for t in range(10_000)]
+    for g, want in (
+        (families.cycle(20_000), 20_000),
+        (from_edge_list(n, theta), 10_000),
+        (from_edge_list(20_000, ring + pendant), 10_000),
+    ):
+        start = time.perf_counter()
+        assert girth(g) == want
+        assert time.perf_counter() - start < 1.0
 
 
 def test_multigraph_girth_conventions():
@@ -384,10 +433,13 @@ def test_partition_facts_cycle_degenerate():
 
 def test_cycle_vertex_order_orientation():
     k4 = families.complete(4)
-    cyc = next(c for c in girth_cycles(k4) if 0 in cycle_vertex_order(k4, c))
-    order = cycle_vertex_order(k4, cyc)
-    assert order[0] == min(order)
-    assert order[1] == min(order[1], order[-1])
+    for cyc in girth_cycles(k4):
+        arcs = cycle_arcs(k4, cyc)
+        order = [a.tail for a in arcs]
+        assert order[0] == min(order)
+        assert order[1] == min(order[1], order[-1])
+        assert [k4.arc_head(a) for a in arcs] == order[1:] + order[:1]
+        assert {a.edge for a in arcs} == cyc
 
 
 def test_report_json_shape():

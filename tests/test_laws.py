@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import importlib
+import itertools
+import sys
+
 import pytest
 
-from girthlab import families
+from girthlab import corpus, families
 from girthlab.errors import Disconnected, InfiniteGirth, PreconditionViolation
 from girthlab.girth import girth_report
 from girthlab.isomorphism import are_isomorphic
@@ -89,6 +93,51 @@ def test_laws_reject_disconnected_and_forests():
         check_all_laws(from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
     with pytest.raises(InfiniteGirth):
         check_all_laws(from_edge_list(3, [(0, 1), (1, 2)]))
+
+
+def test_capped_classification_is_unverified_not_violated():
+    # 600 vertices, past the isomorphism cap: the decompositions still run
+    for g in (families.prism(300), families.mobius(300)):
+        results = check_all_laws(g, iso_cap=512)
+        for law_id in ("thm3.11", "thm-main"):
+            r = law(results, law_id)
+            assert r.applicable and r.holds is None, (law_id, r.witness)
+        assert not any(r.violated for r in results)
+
+
+def _spy(monkeypatch, module: str, name: str) -> list[tuple]:
+    """Record the arguments of every call to girthlab.<module>.<name>, from
+    every girthlab module that binds it."""
+    original = getattr(importlib.import_module(f"girthlab.{module}"), name)
+    calls: list[tuple] = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("girthlab"):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, spy)
+    return calls
+
+
+def test_check_all_laws_computes_each_quantity_once(monkeypatch):
+    girths = _spy(monkeypatch, "girth", "girth")
+    decompositions = _spy(monkeypatch, "schemes", "decompose_011")
+    isomorphisms = _spy(monkeypatch, "isomorphism", "find_isomorphism")
+    seen_011 = 0
+    for gid, g in itertools.islice(corpus.iter_corpus(corpus.CUBIC_LE14), 200):
+        for calls in (girths, decompositions, isomorphisms):
+            calls.clear()
+        check_all_laws(g)
+        assert len(girths) == 1, gid
+        assert len(decompositions) <= 1, gid
+        seen_011 += len(decompositions)
+        models = [args[1] for args in isomorphisms]
+        assert len(models) == len(set(models)), gid
+    assert seen_011 > 0
 
 
 def test_non_girth_regular_graph_has_no_applicable_cubic_laws():

@@ -1,19 +1,23 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import girthlab
 from girthlab import families
 from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
-from girthlab.girth import girth_cycles, girth_report
+from girthlab.girth import cycle_arcs, girth_cycles, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 
 
 def walks_of_girth_cycles(g):
-    from girthlab.maps import _walk_of_cycle
-
-    return [_walk_of_cycle(g, c) for c in girth_cycles(g)]
+    return [ClosedWalk.from_arcs(g, cycle_arcs(g, c)) for c in girth_cycles(g)]
 
 
 def test_build_map_tetrahedron():
@@ -178,15 +182,8 @@ def test_decompose_112_alternation_along_girth_cycles():
     g = families.prism(6)
     _, witness = decompose_112(g)
     y = set(witness["Y"])
-    from girthlab.girth import cycle_vertex_order
-
     for cyc in girth_cycles(g):
-        order = cycle_vertex_order(g, cyc)
-        pair = {g.edge(eid).ends: eid for eid in cyc}
-        kinds = []
-        for i in range(len(order)):
-            u, v = order[i], order[(i + 1) % len(order)]
-            kinds.append(pair[(min(u, v), max(u, v))] in y)
+        kinds = [a.edge in y for a in cycle_arcs(g, cyc)]
         assert all(kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds)))
 
 
@@ -211,3 +208,40 @@ def test_map_json_shape():
     assert doc["skeleton"]["vertices"] == 2
     assert len(doc["faces"]) == 5
     assert all({"edge", "tail", "end"} == set(ref) for face in doc["faces"] for ref in face)
+
+
+# a report whose ε contradicts the graph: one girth-cycle edge counted on
+# none (0,1,1), or one edge on two girth cycles counted on one (1,1,2)
+FORGED_REPORT_CHECK = """
+import dataclasses
+from girthlab import families
+from girthlab.errors import GirthInvariantViolation
+from girthlab.girth import girth_report
+from girthlab.maps import decompose_112
+from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
+
+for g, decompose, flip in (
+    (truncate(unique_cubic_scheme(families.prism(3))).graph, decompose_011, {1: 0}),
+    (families.prism(6), decompose_112, {2: 1}),
+):
+    rep = girth_report(g)
+    eid = next(e for e, c in rep.epsilon.items() if c in flip)
+    forged = dataclasses.replace(rep, epsilon={**rep.epsilon, eid: flip[rep.epsilon[eid]]})
+    try:
+        decompose(g, forged)
+    except GirthInvariantViolation as exc:
+        print(type(exc).__name__, exc)
+    else:
+        raise SystemExit(decompose.__name__ + " accepted a forged report")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_decompositions_reject_a_forged_report(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(girthlab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", FORGED_REPORT_CHECK],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("GirthInvariantViolation") == 2, done.stdout

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from girthlab.errors import DanglingEndpoint, NotSimple, SchemaViolation
-from girthlab.multigraph import Arc, MultiGraph, SimpleGraphView, from_edge_list, require_simple
+from girthlab.errors import DanglingEndpoint, SchemaViolation
+from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 
 
 def test_basic_construction_and_degrees():
@@ -56,13 +56,10 @@ def test_endpoint_validation():
 def test_simplicity_flags():
     simple = from_edge_list(3, [(0, 1), (1, 2)])
     assert simple.is_simple
-    assert SimpleGraphView.of(simple).valid
     looped = from_edge_list(2, [(0, 0)])
     assert looped.has_loops and not looped.is_simple
     doubled = from_edge_list(2, [(0, 1), (0, 1)])
     assert doubled.has_parallel_edges and not doubled.is_simple
-    with pytest.raises(NotSimple):
-        require_simple(doubled)
 
 
 def test_connectivity():
