@@ -3,9 +3,9 @@ census.
 
 Graphs stream in as graph6/sparse6 lines or multigraph JSON; every
 command that emits a graph emits a format every reading command accepts.
-Output ordering follows input ordering regardless of the worker count,
-and the exit status is 0 exactly when nothing failed to parse and no law
-was violated.
+Each graph is parsed, worked on and written before the next is read, so
+records come out in input order, and the exit status is 0 exactly when
+nothing failed to parse and no law was violated.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator
 
 from . import families
 from .codec import (
@@ -38,9 +36,6 @@ from .schemes import DihedralScheme, decompose_011, truncate, unique_cubic_schem
 ANALYZE_CAP = 100_000
 ISO_CAP = 512
 ENV_CAP = "GIRTHLAB_MAX_VERTICES"
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 class UsageError(Exception):
@@ -135,29 +130,20 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
                 yield gid, exc, None
 
 
-def _map_ordered(
-    fn: Callable[[T], R], items: Iterable[T], threads: int
-) -> Iterator[R]:
-    if threads <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    # a bounded read-ahead: pool.map would parse and hold every input at once
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque[Future[R]] = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > 4 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+Record = tuple[str, dict[str, Any]]
 
 
-def _emit(records: Iterable[tuple[str, dict[str, Any]]], fmt: str,
+def _emit(records: Iterable[Record], fmt: str,
           text_of: Callable[[str, dict[str, Any]], str]) -> None:
+    """Write each record as it arrives; json-array writes the bytes of
+    json.dumps(list) without holding the list."""
     if fmt == "json-array":
-        docs = [dict(doc, id=gid) for gid, doc in records]
-        print(json.dumps(docs, separators=(",", ":")))
+        sys.stdout.write("[")
+        for k, (gid, doc) in enumerate(records):
+            if k:
+                sys.stdout.write(",")
+            sys.stdout.write(json.dumps(dict(doc, id=gid), separators=(",", ":")))
+        print("]")
     elif fmt == "json":
         for gid, doc in records:
             print(json.dumps(dict(doc, id=gid), separators=(",", ":")))
@@ -166,20 +152,35 @@ def _emit(records: Iterable[tuple[str, dict[str, Any]]], fmt: str,
             print(text_of(gid, doc))
 
 
+def _run(args: argparse.Namespace, cap: int,
+         work: Callable[[MultiGraph], dict[str, Any]],
+         text_of: Callable[[str, dict[str, Any]], str]) -> int:
+    """Parse, work on and write one graph at a time; 1 when a record is an
+    error or shows a violated law, else 0."""
+    status = 0
+
+    def records() -> Iterator[Record]:
+        nonlocal status
+        for gid, g, _ in iter_graphs(args.paths, cap):
+            doc = {"error": str(g)} if isinstance(g, Exception) else work(g)
+            if "error" in doc or any(
+                law["applicable"] and law["holds"] is False for law in doc.get("laws", ())
+            ):
+                status = 1
+            yield gid, doc
+
+    _emit(records(), args.format, text_of)
+    return status
+
+
 # --- commands ---
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cap = _cap(args, ANALYZE_CAP)
-    failures = 0
-
-    def work(item: ParsedGraph) -> tuple[str, dict[str, Any]]:
-        gid, g, _ = item
-        if isinstance(g, Exception):
-            return gid, {"error": str(g)}
+    def work(g: MultiGraph) -> dict[str, Any]:
         try:
-            return gid, girth_report(g).to_json()
+            return girth_report(g).to_json()
         except InfiniteGirth:
-            return gid, {
+            return {
                 "girth": None,
                 "cycles": 0,
                 "epsilon": {},
@@ -197,13 +198,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         reg_s = "(" + ",".join(map(str, reg)) + ")" if reg else "-"
         return f"{gid}: girth={doc['girth']} cycles={doc['cycles']} regular={reg_s}"
 
-    records = []
-    for rec in _map_ordered(work, iter_graphs(args.paths, cap), args.threads):
-        if "error" in rec[1]:
-            failures += 1
-        records.append(rec)
-    _emit(records, args.format, text)
-    return 1 if failures else 0
+    return _run(args, _cap(args, ANALYZE_CAP), work, text)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -238,23 +233,17 @@ def cmd_truncate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    cap = _cap(args, ANALYZE_CAP)
-    failures = 0
-
-    def work(item: ParsedGraph) -> tuple[str, dict[str, Any]]:
-        gid, g, _ = item
-        if isinstance(g, Exception):
-            return gid, {"error": str(g)}
+    def work(g: MultiGraph) -> dict[str, Any]:
         try:
             if args.mode == "011":
                 lam, scheme = decompose_011(g)
-                return gid, {"mode": "011", "lambda": write_multigraph_json(lam, scheme)}
+                return {"mode": "011", "lambda": write_multigraph_json(lam, scheme)}
             if args.mode == "222":
-                return gid, {"mode": "222", "map": map_from_222(g).to_json()}
+                return {"mode": "222", "map": map_from_222(g).to_json()}
             m, witness = decompose_112(g)
-            return gid, {"mode": "112", "map": m.to_json(), "witness": witness}
+            return {"mode": "112", "map": m.to_json(), "witness": witness}
         except GirthLabError as exc:
-            return gid, {"error": str(exc)}
+            return {"error": str(exc)}
 
     def text(gid: str, doc: dict[str, Any]) -> str:
         if "error" in doc:
@@ -273,29 +262,18 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             f"(lengths {face_lengths}), chi={m['chi']}"
         )
 
-    records = []
-    for rec in _map_ordered(work, iter_graphs(args.paths, cap), args.threads):
-        if "error" in rec[1]:
-            failures += 1
-        records.append(rec)
-    _emit(records, args.format, text)
-    return 1 if failures else 0
+    return _run(args, _cap(args, ANALYZE_CAP), work, text)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _cap(args, ISO_CAP)
-    failures = 0
-    violations = 0
 
-    def work(item: ParsedGraph) -> tuple[str, dict[str, Any]]:
-        gid, g, _ = item
-        if isinstance(g, Exception):
-            return gid, {"error": str(g)}
+    def work(g: MultiGraph) -> dict[str, Any]:
         try:
             laws = check_all_laws(g, iso_cap=cap)
         except GirthLabError as exc:
-            return gid, {"skipped": str(exc), "laws": []}
-        return gid, {"laws": [law.to_json() for law in laws]}
+            return {"skipped": str(exc), "laws": []}
+        return {"laws": [law.to_json() for law in laws]}
 
     def text(gid: str, doc: dict[str, Any]) -> str:
         if "error" in doc:
@@ -310,16 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             parts.append(f"{law['law']}={state}")
         return f"{gid}: " + (" ".join(parts) if parts else "no applicable laws")
 
-    records = []
-    for rec in _map_ordered(work, iter_graphs(args.paths, cap), args.threads):
-        if "error" in rec[1]:
-            failures += 1
-        for law in rec[1].get("laws", ()):
-            if law["applicable"] and law["holds"] is False:
-                violations += 1
-        records.append(rec)
-    _emit(records, args.format, text)
-    return 1 if failures or violations else 0
+    return _run(args, cap, work, text)
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -335,7 +304,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser, paths: bool = True) -> None:
     p.add_argument("--format", choices=("text", "json", "json-array"), default="text")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--max-vertices", type=int, default=None)
     if paths:
         p.add_argument("paths", nargs="*", default=["-"])

@@ -146,37 +146,42 @@ def find_isomorphism(
     mapping = [-1] * g.n
     pre = [-1] * h.n
 
-    def extend(i: int) -> bool:
-        if i == len(order):
-            return True
+    def fits(v: int, x: int) -> bool:
+        for w, m in nbr_g[v].items():
+            mw = mapping[w]
+            if mw >= 0 and nbr_h[x].get(mw) != m:
+                return False
+        # the converse: mapped h-neighbors of x must pull back to
+        # g-neighbors of v with the same multiplicity
+        for y, m in nbr_h[x].items():
+            w = pre[y]
+            if w >= 0 and nbr_g[v].get(w) != m:
+                return False
+        return True
+
+    # depth-first over `order` with an explicit stack, so that the depth
+    # is not bounded by the interpreter's recursion limit; tried[i] is
+    # how many candidates of order[i] the search has tried
+    tried = [0] * len(order)
+    i = 0
+    while 0 <= i < len(order):
         v = order[i]
-        for x in candidates[v]:
-            if pre[x] >= 0:
-                continue
-            ok = True
-            for w, m in nbr_g[v].items():
-                mw = mapping[w]
-                if mw >= 0 and nbr_h[x].get(mw) != m:
-                    ok = False
-                    break
-            if ok:
-                # the converse: mapped h-neighbors of x must pull back to
-                # g-neighbors of v with the same multiplicity
-                for y, m in nbr_h[x].items():
-                    w = pre[y]
-                    if w >= 0 and nbr_g[v].get(w) != m:
-                        ok = False
-                        break
-            if ok:
+        if mapping[v] >= 0:  # backtracked to v: undo its assignment
+            pre[mapping[v]] = -1
+            mapping[v] = -1
+        cands = candidates[v]
+        for j in range(tried[i], len(cands)):
+            x = cands[j]
+            if pre[x] < 0 and fits(v, x):
                 mapping[v] = x
                 pre[x] = v
-                if extend(i + 1):
-                    return True
-                mapping[v] = -1
-                pre[x] = -1
-        return False
-
-    return mapping if extend(0) else None
+                tried[i] = j + 1
+                i += 1
+                break
+        else:
+            tried[i] = 0
+            i -= 1
+    return mapping if i == len(order) else None
 
 
 def are_isomorphic(

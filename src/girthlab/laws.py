@@ -226,9 +226,9 @@ def check_all_laws(
     else:
         results.append(LawResult("thm2", False, None))
 
-    # thm3: odd-girth equality case forces K4 or Petersen
+    # thm3: odd-girth equality case forces K4 or Petersen; K4 has girth 3
     if cubic_gr and gir % 2 == 1 and sig[-1] == 2**d:
-        ok = iso(families.complete(4))
+        ok = iso(families.complete(4)) if gir == 3 else False
         if ok is False:
             ok = iso(families.petersen())
         results.append(LawResult("thm3", True, ok, {"signature": list(sig)}))

@@ -116,15 +116,17 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
         # walk the 2-regular partner relation into one cycle over out(v)
         start = out[0]
         cyc = [start]
+        seen = {start}
         prev: Arc | None = None
         while True:
             cur = cyc[-1]
             nxt = partners[cur][0] if partners[cur][0] != prev else partners[cur][1]
             if nxt == start:
                 break
-            if nxt.tail != v or nxt in cyc:
+            if nxt.tail != v or nxt in seen:
                 raise NotDihedral(f"relation at vertex {v} leaves out({v})")
             cyc.append(nxt)
+            seen.add(nxt)
             prev = cur
         if len(cyc) != len(out):
             raise NotDihedral(

@@ -73,6 +73,17 @@ def test_threads_do_not_change_bytes(tmp_path, capsys):
     assert out1 == out4
 
 
+def test_verify_past_a_thousand_vertices(tmp_path, capsys):
+    from girthlab.schemes import truncate, unique_cubic_scheme
+
+    p = tmp_path / "trunc.g6"
+    p.write_text(write_graph6(truncate(unique_cubic_scheme(families.prism(170))).graph) + "\n")
+    code, out = run(capsys, "verify", "--max-vertices", "2000", "--format", "json", p)
+    assert code == 0
+    laws = {law["law"]: law for law in json.loads(out)["laws"]}
+    assert laws["thm3.6"]["applicable"] and laws["thm3.6"]["holds"] is True
+
+
 def test_generate_graph6_and_json(capsys):
     code, out = run(capsys, "generate", "petersen")
     assert code == 0
@@ -349,18 +360,37 @@ def test_generate_bad_parameters_is_one_error_line(capsys):
     assert captured.err == "girthlab: error: [1, 3] not closed under negation mod 8\n"
 
 
-def test_worker_pool_reads_a_bounded_number_of_inputs_ahead():
-    from girthlab.cli import _map_ordered
+@pytest.mark.parametrize("fmt", ["text", "json", "json-array"])
+def test_each_record_is_written_before_the_next_graph_is_parsed(
+    tmp_path, capsys, monkeypatch, fmt
+):
+    from girthlab import cli
 
-    produced = []
+    p = tmp_path / "many.g6"
+    p.write_text("".join(write_graph6(families.prism(n)) + "\n" for n in range(3, 9)))
+    parse = cli.iter_graphs
+    seen = []
 
-    def items():
-        for i in range(100):
-            produced.append(i)
-            yield i
+    def written() -> int:
+        out = capsys.readouterr().out
+        seen.append(out)
+        text = "".join(seen)
+        return text.count('"id":') if fmt == "json-array" else text.count("\n")
 
-    out = []
-    for r in _map_ordered(lambda x: 2 * x, items(), 2):
-        out.append(r)
-        assert len(produced) - len(out) <= 9  # 4 per worker, plus the one submitted last
-    assert out == [2 * i for i in range(100)]
+    def spied(*args):
+        for k, item in enumerate(parse(*args)):
+            assert written() == k
+            yield item
+
+    monkeypatch.setattr(cli, "iter_graphs", spied)
+    code = main(["analyze", "--format", fmt, str(p)])
+    assert code == 0
+    assert written() == 6
+
+
+def test_json_array_on_empty_input(tmp_path, capsys):
+    p = tmp_path / "empty.g6"
+    p.write_text("")
+    code, out = run(capsys, "analyze", "--format", "json-array", p)
+    assert code == 0
+    assert out == "[]\n"

@@ -20,6 +20,7 @@ from girthlab.girth import (
     girth_report,
     two_path_counts,
 )
+from girthlab.maps import decompose_112
 from girthlab.multigraph import MultiGraph, from_edge_list
 from girthlab.schemes import truncate, unique_cubic_scheme
 
@@ -189,6 +190,13 @@ def test_girth_is_linear_when_the_girth_is_near_n():
         start = time.perf_counter()
         assert girth(g) == want
         assert time.perf_counter() - start < 1.0
+
+
+def test_decompose_112_is_linear_in_the_vertex_count():
+    g = families.prism(4000)
+    start = time.perf_counter()
+    decompose_112(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_multigraph_girth_conventions():

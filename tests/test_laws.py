@@ -105,6 +105,15 @@ def test_capped_classification_is_unverified_not_violated():
         assert not any(r.violated for r in results)
 
 
+def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
+    # 1 020 vertices: one frame per vertex would pass the default limit
+    g = truncate(unique_cubic_scheme(families.prism(170))).graph
+    results = check_all_laws(g, iso_cap=2000)
+    for law_id in ("thm3.6", "thm-main"):
+        r = law(results, law_id)
+        assert r.applicable and r.holds is True, (law_id, r.witness)
+
+
 def _spy(monkeypatch, module: str, name: str) -> list[tuple]:
     """Record the arguments of every call to girthlab.<module>.<name>, from
     every girthlab module that binds it."""
@@ -129,6 +138,7 @@ def test_check_all_laws_computes_each_quantity_once(monkeypatch):
     isomorphisms = _spy(monkeypatch, "isomorphism", "find_isomorphism")
     seen_011 = 0
     for gid, g in itertools.islice(corpus.iter_corpus(corpus.CUBIC_LE14), 200):
+        gir = girth_report(g).girth
         for calls in (girths, decompositions, isomorphisms):
             calls.clear()
         check_all_laws(g)
@@ -137,6 +147,8 @@ def test_check_all_laws_computes_each_quantity_once(monkeypatch):
         seen_011 += len(decompositions)
         models = [args[1] for args in isomorphisms]
         assert len(models) == len(set(models)), gid
+        if gir > 3:  # no search for K4, the only 4-vertex model
+            assert all(model.n != 4 for model in models), gid
     assert seen_011 > 0
 
 
