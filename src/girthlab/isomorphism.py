@@ -1,8 +1,9 @@
-"""Desk-scale multigraph isomorphism: refinement plus backtracking.
+"""Desk-scale multigraph isomorphism: colour refinement plus backtracking.
 
 Correctness over speed; loops and edge multiplicities are part of the
-matching contract. Guarded by a vertex cap since the only callers are
-round-trip and classification checks on small witnesses.
+matching contract. Guarded by a vertex cap: the laws search only against
+the fixed named models (at most 126 vertices), and the constructive
+theorems are checked by the bijection their decompositions build.
 """
 
 from __future__ import annotations
@@ -16,90 +17,56 @@ from .multigraph import MultiGraph
 DEFAULT_ISO_CAP = 512
 
 
-def _pair_mults(g: MultiGraph) -> tuple[dict[tuple[int, int], int], list[int]]:
-    """Multiplicity per unordered vertex pair, and loop count per vertex."""
-    mult: dict[tuple[int, int], int] = {}
+def _neighbor_mults(g: MultiGraph) -> tuple[list[dict[int, int]], list[int]]:
+    """Edge multiplicity to each neighbour, and loop count, per vertex."""
+    nbr: list[dict[int, int]] = [dict() for _ in range(g.n)]
     loops = [0] * g.n
     for e in g.edges:
         if e.is_loop:
             loops[e.ends[0]] += 1
         else:
-            mult[e.ends] = mult.get(e.ends, 0) + 1
-    return mult, loops
-
-
-def _neighbor_mults(g: MultiGraph) -> list[dict[int, int]]:
-    mult, _ = _pair_mults(g)
-    nbr: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for (u, v), m in mult.items():
-        nbr[u][v] = m
-        nbr[v][u] = m
-    return nbr
-
-
-def _distance_profile(g: MultiGraph, v: int) -> tuple[int, ...]:
-    dist = [-1] * g.n
-    dist[v] = 0
-    q = deque([v])
-    counts: Counter[int] = Counter()
-    while q:
-        x = q.popleft()
-        for y, _ in g.neighbors(x):
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                counts[dist[y]] += 1
-                q.append(y)
-    return tuple(counts[i] for i in range(1, max(counts) + 1)) if counts else ()
+            u, v = e.ends
+            nbr[u][v] = nbr[v][u] = nbr[u].get(v, 0) + 1
+    return nbr, loops
 
 
 def _joint_colors(
     g: MultiGraph,
     h: MultiGraph,
     nbr_g: list[dict[int, int]],
+    loops_g: list[int],
     nbr_h: list[dict[int, int]],
+    loops_h: list[int],
     anchor: tuple[int, int] | None,
 ) -> tuple[list[int], list[int]]:
     """Refine both graphs against one shared color table so that equal
     color ids mean equal refinement classes across the two graphs."""
-    _, loops_g = _pair_mults(g)
-    _, loops_h = _pair_mults(h)
 
     def raw(graph, nbr, loops, anchored):
-        out = []
-        for v in range(graph.n):
-            out.append(
-                (
-                    v == anchored,
-                    graph.degree(v),
-                    loops[v],
-                    tuple(sorted(nbr[v].values())),
-                    _distance_profile(graph, v),
-                )
-            )
-        return out
+        return [
+            (v == anchored, graph.degree(v), loops[v], tuple(sorted(nbr[v].values())))
+            for v in range(graph.n)
+        ]
+
+    def sig(nbr, loops, colors):
+        return [
+            (colors[v], loops[v], tuple(sorted((colors[w], m) for w, m in nbr[v].items())))
+            for v in range(len(colors))
+        ]
 
     au = anchor[0] if anchor else -1
     av = anchor[1] if anchor else -1
-    raw_g, raw_h = raw(g, nbr_g, loops_g, au), raw(h, nbr_h, loops_h, av)
-    table = {s: i for i, s in enumerate(sorted(set(raw_g) | set(raw_h)))}
-    col_g = [table[s] for s in raw_g]
-    col_h = [table[s] for s in raw_h]
-
+    sig_g, sig_h = raw(g, nbr_g, loops_g, au), raw(h, nbr_h, loops_h, av)
+    col_g: list[int] = []
+    col_h: list[int] = []
     while True:
-        def sig(graph, nbr, loops, colors):
-            return [
-                (colors[v], loops[v], tuple(sorted((colors[w], m) for w, m in nbr[v].items())))
-                for v in range(graph.n)
-            ]
-
-        sig_g = sig(g, nbr_g, loops_g, col_g)
-        sig_h = sig(h, nbr_h, loops_h, col_h)
         table = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
         new_g = [table[s] for s in sig_g]
         new_h = [table[s] for s in sig_h]
         if new_g == col_g and new_h == col_h:
             return col_g, col_h
         col_g, col_h = new_g, new_h
+        sig_g, sig_h = sig(nbr_g, loops_g, col_g), sig(nbr_h, loops_h, col_h)
 
 
 def find_isomorphism(
@@ -116,8 +83,8 @@ def find_isomorphism(
         raise SizeCapExceeded(f"isomorphism capped at {cap} vertices")
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    nbr_g, nbr_h = _neighbor_mults(g), _neighbor_mults(h)
-    col_g, col_h = _joint_colors(g, h, nbr_g, nbr_h, anchor)
+    (nbr_g, loops_g), (nbr_h, loops_h) = _neighbor_mults(g), _neighbor_mults(h)
+    col_g, col_h = _joint_colors(g, h, nbr_g, loops_g, nbr_h, loops_h, anchor)
     if Counter(col_g) != Counter(col_h):
         return None
 

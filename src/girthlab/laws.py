@@ -8,6 +8,7 @@ violation independently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
@@ -15,9 +16,9 @@ from . import families
 from .errors import Disconnected, GirthLabError, InfiniteGirth, PreconditionViolation, SizeCapExceeded
 from .girth import GirthReport, girth_report
 from .isomorphism import DEFAULT_ISO_CAP, find_isomorphism
-from .maps import decompose_112, map_from_222, truncate_map
+from .maps import decompose_112, map_from_222
 from .multigraph import MultiGraph
-from .schemes import decompose_011, truncate
+from .schemes import DihedralScheme, contract_cycles, decompose_011, truncate
 
 LAW_IDS = (
     "thm1",
@@ -69,7 +70,7 @@ OUTSIDE = "OutsideTheorem"
 class Classification:
     """A classification case. `witness` is the decomposition the case
     rests on: (base, scheme) for Trunc011, (map, X/Y split) at signature
-    (1,1,2). `model` is the named graph tested for isomorphism with g."""
+    (1,1,2). `model` is the named graph that g was checked against."""
 
     case: str
     detail: dict[str, Any] = field(default_factory=dict)
@@ -80,13 +81,57 @@ class Classification:
         return {"case": self.case, "detail": self.detail}
 
 
+def _maps_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:
+    """Whether v -> mapping[v] is an isomorphism from g onto h: a bijection
+    that sends the edges of g, loops and multiplicities included, onto
+    the edges of h. One pass over the edges of each graph."""
+    if g.n != h.n or g.edge_count != h.edge_count or sorted(mapping) != list(range(h.n)):
+        return False
+    image = Counter(tuple(sorted(mapping[v] for v in e.ends)) for e in g.edges)
+    return image == Counter(e.ends for e in h.edges)
+
+
+def _truncation_of(g: MultiGraph, scheme: DihedralScheme) -> bool:
+    """Whether g is the truncation of the scheme under the vertex map that
+    its decomposition built: v goes to the truncation vertex of the arc
+    that contract_cycles gives it."""
+    tr = truncate(scheme)
+    vertex_of = {a: i for i, a in tr.vertex_origin.items()}
+    _, arc_of = contract_cycles(g, {e.id for e in scheme.base.edges})
+    return _maps_onto(g, tr.graph, [vertex_of.get(a, -1) for a in arc_of])
+
+
+def _ladder_labels(g: MultiGraph, coloring: dict[str, list[int]], prism: bool) -> list[int]:
+    """Number a (1,1,2) ladder the way families.prism / families.mobius do:
+    walk the X-cycle through vertex 0 and send its i-th vertex to i; on a
+    prism, send that vertex's Y-partner to n + i."""
+    x_adj: list[list[int]] = [[] for _ in range(g.n)]
+    for eid in coloring["X"]:
+        u, v = g.edge(eid).ends
+        x_adj[u].append(v)
+        x_adj[v].append(u)
+    walk = [0, x_adj[0][0]]
+    while (nxt := sum(x_adj[walk[-1]]) - walk[-2]) != 0:  # the X-neighbour not just left
+        walk.append(nxt)
+    labels = [-1] * g.n
+    for i, v in enumerate(walk):
+        labels[v] = i
+    if prism:
+        for eid in coloring["Y"]:
+            u, v = sorted(g.edge(eid).ends, key=labels.__getitem__)  # u is unlabelled: -1
+            labels[u] = labels[v] + g.n // 2
+    return labels
+
+
 def classify_g5(
     g: MultiGraph,
     report: GirthReport | None = None,
     iso_cap: int = DEFAULT_ISO_CAP,
 ) -> Classification:
     """Place a connected cubic girth-regular graph of girth <= 5 into its
-    classification case, confirming named cases by isomorphism."""
+    classification case. A prism or Möbius ladder is confirmed by checking
+    the labelling its X-cycles and Y-rungs give it, a fixed named model by
+    an isomorphism search."""
     if not g.is_simple or not g.is_connected() or g.is_regular() != 3:
         raise PreconditionViolation("classifier needs a simple connected cubic graph")
     if report is None:
@@ -98,8 +143,12 @@ def classify_g5(
         raise PreconditionViolation(f"girth {report.girth} > 5")
     gir = report.girth
 
-    def confirmed(case: str, model: MultiGraph, detail: dict[str, Any], witness: Any = None) -> Classification:
-        if find_isomorphism(g, model, cap=iso_cap) is None:
+    def confirmed(
+        case: str, model: MultiGraph, detail: dict[str, Any], witness: Any = None, labels: list[int] | None = None
+    ) -> Classification:
+        # a ladder is checked under its own labels, a fixed model by search
+        found = _maps_onto(g, model, labels) if labels else find_isomorphism(g, model, cap=iso_cap) is not None
+        if not found:
             detail = {"girth": gir, "signature": list(sig), "reason": f"not isomorphic to {case}"}
             case = OUTSIDE
         return Classification(case, detail, witness, model)
@@ -118,10 +167,10 @@ def classify_g5(
             n = g.n // 2
             split = decompose_112(g, report)
             comps = split[0].skeleton.n  # the X-cycles
-            if comps == 2:
-                return confirmed(PRISM_OR_MOBIUS, families.prism(n), {"family": "prism", "n": n}, split)
-            if comps == 1:
-                return confirmed(PRISM_OR_MOBIUS, families.mobius(n), {"family": "mobius", "n": n}, split)
+            if comps in (1, 2):
+                family, model = ("prism", families.prism(n)) if comps == 2 else ("mobius", families.mobius(n))
+                labels = _ladder_labels(g, split[1], prism=comps == 2)
+                return confirmed(PRISM_OR_MOBIUS, model, {"family": family, "n": n}, split, labels)
             detail = {"girth": gir, "signature": list(sig), "reason": f"{comps} single-cycle components"}
             return Classification(OUTSIDE, detail, split)
     if gir == 5:
@@ -139,19 +188,13 @@ def canonical_graph(c: Classification) -> MultiGraph | None:
     return None if c.case == OUTSIDE else c.model
 
 
-_EXTREMAL_EVEN = {4: "completeBipartite", 6: "heawood", 8: "tutteCoxeter", 12: "tutte12Cage"}
-
-
-def _extremal_even_model(gir: int) -> MultiGraph | None:
-    if gir == 4:
-        return families.complete_bipartite(3, 3)
-    if gir == 6:
-        return families.heawood()
-    if gir == 8:
-        return families.tutte_coxeter()
-    if gir == 12:
-        return families.tutte_12cage()
-    return None
+# the cubic generalised polygons by girth: thm2's witness name and model
+_EXTREMAL_EVEN: dict[int, tuple[str, Callable[[], MultiGraph]]] = {
+    4: ("completeBipartite", lambda: families.complete_bipartite(3, 3)),
+    6: ("heawood", families.heawood),
+    8: ("tutteCoxeter", families.tutte_coxeter),
+    12: ("tutte12Cage", families.tutte_12cage),
+}
 
 
 def check_all_laws(
@@ -162,7 +205,8 @@ def check_all_laws(
     """Evaluate every law with its own applicability gate. Each per-graph
     quantity is computed once and shared between the laws: the report,
     the classification with the decomposition it rests on, and the
-    isomorphism to each model."""
+    isomorphism to each named model. thm3.6 and thm3.11 check the vertex
+    map that the decomposition built, edge by edge."""
     if not g.is_connected():
         raise Disconnected("laws are stated for connected graphs")
     if report is None:
@@ -198,7 +242,7 @@ def check_all_laws(
         """The decomposition classify_g5 built, else a new one."""
         if isinstance(classified, Classification) and classified.witness is not None:
             return classified.witness
-        if isinstance(classified, GirthLabError) and not isinstance(classified, SizeCapExceeded):
+        if isinstance(classified, GirthLabError):
             raise classified
         return decompose(g, report)
 
@@ -215,13 +259,13 @@ def check_all_laws(
         ok: bool | None = constant and g.n == families.moore_bound(k, gir)
         wit: Any = {"signature": list(sig), "n": g.n}
         if ok and k == 3:
-            model = _extremal_even_model(gir)
-            if model is None:
+            if gir not in _EXTREMAL_EVEN:
                 ok = False
                 wit = {"reason": f"no generalised polygon for girth {gir}"}
             else:
-                ok = iso(model)
-                wit = {"model": _EXTREMAL_EVEN[gir]} if ok else wit
+                name, model = _EXTREMAL_EVEN[gir]
+                ok = iso(model())
+                wit = {"model": name} if ok else wit
         results.append(LawResult("thm2", True, ok, wit))
     else:
         results.append(LawResult("thm2", False, None))
@@ -279,7 +323,7 @@ def check_all_laws(
             ok = lam.is_regular() == gir and not lam.has_loops
             wit = {"baseVertices": lam.n, "baseRegular": lam.is_regular()}
             if ok:
-                ok = iso(truncate(scheme).graph)
+                ok = _truncation_of(g, scheme)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
         thm36 = LawResult("thm3.6", True, ok, wit)
@@ -312,7 +356,7 @@ def check_all_laws(
                 }
                 ok = len(coloring["Y"]) == g.n // 2
                 if ok:
-                    ok = iso(truncate_map(m).graph)
+                    ok = _truncation_of(g, m.scheme_induced)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
         results.append(LawResult("thm3.11", True, ok, wit))
@@ -320,7 +364,7 @@ def check_all_laws(
         results.append(LawResult("thm3.11", False, None))
 
     # thm-main: the girth <= 5 classification; classify_g5 confirmed a
-    # named case by isomorphism, and a Trunc011 case holds by thm3.6
+    # named case, and a Trunc011 case holds by thm3.6
     if isinstance(classified, Classification):
         ok = thm36.holds if classified.case == TRUNC011 else classified.case != OUTSIDE
         results.append(LawResult("thm-main", True, ok, classified.to_json()))

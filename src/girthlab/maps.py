@@ -24,7 +24,7 @@ from .errors import (
 )
 from .girth import GirthReport, cycle_arcs, girth_cycles, girth_report
 from .multigraph import Arc, MultiGraph
-from .schemes import DihedralScheme, TruncationResult, least_rotation, truncate
+from .schemes import DihedralScheme, TruncationResult, contract_cycles, least_rotation, truncate
 
 
 @dataclass(frozen=True)
@@ -193,60 +193,18 @@ def decompose_112(
     if len(x_edges) + len(y_edges) != g.edge_count or not 2 * len(y_edges) == len(y_at) == g.n:
         raise GirthInvariantViolation("ε is not 1 on a 2-factor and 2 on a perfect matching")
 
-    # X-cycles cover the vertices; index them by least vertex id
-    x_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for eid in x_edges:
-        u, v = g.edge(eid).ends
-        x_adj[u].append(v)
-        x_adj[v].append(u)
-    cycle_of: dict[int, int] = {}
-    reps: list[int] = []
-    for v in range(g.n):
-        if v in cycle_of:
-            continue
-        comp = [v]
-        cycle_of[v] = -1
-        prev = None
-        cur = v
-        while True:
-            a, b = x_adj[cur]
-            nxt = a if a != prev else b
-            if nxt == v:
-                break
-            comp.append(nxt)
-            prev, cur = cur, nxt
-        ci = len(reps)
-        reps.append(min(comp))
-        for w in comp:
-            cycle_of[w] = ci
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    rank = {old: new for new, old in enumerate(order)}
-    cycle_of = {v: rank[ci] for v, ci in cycle_of.items()}
-
-    lam_edges = []
-    for eid in y_edges:
-        u, v = g.edge(eid).ends
-        lam_edges.append((eid, (cycle_of[u], cycle_of[v])))
-    lam = MultiGraph(len(reps), lam_edges)
-
-    def lam_arc(eid: int, original_tail: int) -> Arc:
-        ends = lam.edge(eid).ends
-        ci = cycle_of[original_tail]
-        if len(ends) == 2:
-            return Arc(ci, eid, ends.index(ci))
-        # loop: end selector keyed to the lesser original endpoint
-        u, v = g.edge(eid).ends
-        return Arc(ci, eid, 0 if original_tail == u else 1)
+    # the X-cycles, numbered by least vertex, become the map's vertices
+    y_set = set(y_edges)
+    lam, arc_of = contract_cycles(g, y_set)
 
     # each girth cycle alternates X and Y; its g/2 Y-edges walk a face
     walks = []
-    y_set = set(y_edges)
     for cyc in girth_cycles(g, report.girth):
         arcs = cycle_arcs(g, cyc)
         on_y = [a.edge in y_set for a in arcs]
         if any(on_y[i] == on_y[i - 1] for i in range(len(arcs))):
             raise GirthInvariantViolation(f"girth cycle {sorted(cyc)} does not alternate between X and Y")
-        walks.append(ClosedWalk.from_arcs(lam, [lam_arc(a.edge, a.tail) for a, y in zip(arcs, on_y) if y]))
+        walks.append(ClosedWalk.from_arcs(lam, [arc_of[a.tail] for a, y in zip(arcs, on_y) if y]))
 
     m = build_map(lam, walks)
     return m, {"X": x_edges, "Y": y_edges}

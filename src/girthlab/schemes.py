@@ -120,6 +120,41 @@ def unique_cubic_scheme(g: MultiGraph) -> DihedralScheme:
     return DihedralScheme.from_rotations(g, [g.out_arcs(v) for v in range(g.n)])
 
 
+def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list[Arc]]:
+    """Contract each cycle that g leaves without the perfect matching M.
+
+    Λ has one vertex per component of g - M, numbered by least vertex, and
+    the edges of M under their ids in g. Vertex v of g becomes the end of
+    its M-edge at its own component: arc_of[v]; a loop of Λ has end 0 at
+    its lesser vertex in g. decompose_011 and decompose_112 build Λ so,
+    and the laws check their theorems through arc_of in O(m).
+    """
+    component = [-1] * g.n
+    m_at = [-1] * g.n
+    count = 0
+    for s in range(g.n):
+        if component[s] >= 0:
+            continue
+        component[s] = count
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y, eid in g.neighbors(x):
+                if eid in matching:
+                    m_at[x] = eid
+                elif component[y] < 0:
+                    component[y] = count
+                    stack.append(y)
+        count += 1
+    lam = MultiGraph(count, [(eid, [component[v] for v in g.edge(eid).ends]) for eid in matching])
+    arc_of = []
+    for v, eid in enumerate(m_at):
+        ends = lam.edge(eid).ends
+        end = ends.index(component[v]) if len(ends) == 2 else g.edge(eid).ends.index(v)
+        arc_of.append(Arc(component[v], eid, end))
+    return lam, arc_of
+
+
 def decompose_011(
     g: MultiGraph, report: GirthReport | None = None
 ) -> tuple[MultiGraph, DihedralScheme]:
@@ -127,7 +162,8 @@ def decompose_011(
 
     The base has one vertex per girth cycle and one edge per edge lying on
     no girth cycle; rotations follow consecutive attachment points along
-    each girth cycle. Λ keeps the original edge ids of the matching edges.
+    each girth cycle, as `contract_cycles` numbers them. Λ keeps the
+    original edge ids of the matching edges.
     Pass the girth report when already known to skip recomputing it.
     """
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
@@ -139,29 +175,16 @@ def decompose_011(
     if report.regular != (0, 1, 1):
         raise WrongSignature(f"signature {report.regular} != (0, 1, 1)")
 
-    # each walk starts at its least vertex: order the cycles by it
-    walks = sorted((cycle_arcs(g, c) for c in girth_cycles(g, report.girth)), key=lambda w: w[0].tail)
-    cycle_of: dict[int, int] = {}
-    for ci, walk in enumerate(walks):
-        for a in walk:
-            if a.tail in cycle_of:
-                raise GirthInvariantViolation(f"vertex {a.tail} lies on two girth cycles")
-            cycle_of[a.tail] = ci
-    if len(cycle_of) != g.n:
-        raise GirthInvariantViolation("some vertex lies on no girth cycle")
-    matching = [e for e in g.edges if report.epsilon[e.id] == 0]
-    m_at = {v: e.id for e in matching for v in e.ends}  # matching edge at each vertex
-    if not 2 * len(matching) == len(m_at) == g.n:
+    walks = [cycle_arcs(g, c) for c in girth_cycles(g, report.girth)]
+    matching = {e.id for e in g.edges if report.epsilon[e.id] == 0}
+    covered = {v for eid in matching for v in g.edge(eid).ends}
+    if not 2 * len(matching) == len(covered) == g.n:
         raise GirthInvariantViolation("the edges on no girth cycle are not a perfect matching")
-    lam_edges = []
-    for e in matching:
-        cu, cv = (cycle_of[v] for v in e.ends)
-        if cu == cv:
-            raise GirthInvariantViolation(f"edge {e.id}, counted on no girth cycle, joins two vertices of one")
-        lam_edges.append((e.id, (cu, cv)))
-    lam = MultiGraph(len(walks), lam_edges)
-    rotations = [
-        [Arc(ci, m_at[a.tail], lam.edge(m_at[a.tail]).ends.index(ci)) for a in walk]
-        for ci, walk in enumerate(walks)
-    ]
+    lam, arc_of = contract_cycles(g, matching)
+    # the girth cycles avoid the matching, so each is one cycle of g - M
+    if len(walks) != lam.n or any(a.edge in matching for walk in walks for a in walk):
+        raise GirthInvariantViolation("the girth cycles are not the cycles left by the matching")
+    if lam.has_loops:
+        raise GirthInvariantViolation("an edge counted on no girth cycle joins two vertices of one")
+    rotations = [[arc_of[a.tail] for a in walk] for walk in walks]
     return lam, DihedralScheme.from_rotations(lam, rotations)

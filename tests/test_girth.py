@@ -21,6 +21,7 @@ from girthlab.girth import (
     girth_report,
     two_path_counts,
 )
+from girthlab.laws import check_all_laws
 from girthlab.maps import decompose_112
 from girthlab.multigraph import MultiGraph, from_edge_list
 from girthlab.schemes import truncate, unique_cubic_scheme
@@ -215,6 +216,30 @@ def test_decompose_112_is_linear_in_the_vertex_count():
 
     small = best_of(500, 5)
     large = best_of(4000, 2)
+    assert large / small < 20
+
+
+def test_check_all_laws_is_linear_in_the_vertex_count():
+    # As above, in CPU time with the collector paused. thm3.11 and thm-main
+    # are checked through the ladder's own labelling in O(m); a check that
+    # runs one BFS per vertex would make this ratio ~64.
+    def best_of(n, repeats):
+        g = families.prism(n)
+        times = []
+        for _ in range(repeats):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.process_time()
+                results = check_all_laws(g, iso_cap=10**6)
+                times.append(time.process_time() - start)
+            finally:
+                gc.enable()
+        assert not any(r.violated or (r.applicable and r.holds is None) for r in results)
+        return min(times)
+
+    small = best_of(250, 5)
+    large = best_of(2000, 2)
     assert large / small < 20
 
 

@@ -92,6 +92,15 @@ def test_size_cap():
         find_isomorphism(big, big, cap=50)
 
 
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # 1 200 vertices: one frame per vertex would pass the default limit
+    g = families.prism(600)
+    perm = list(range(g.n))
+    random.Random(7).shuffle(perm)
+    mapping = find_isomorphism(g, g.relabeled(perm), cap=2000)
+    assert mapping is not None and sorted(mapping) == list(range(g.n))
+
+
 def test_anchored_automorphisms():
     c5 = families.cycle(5)
     assert all(has_automorphism_mapping(c5, 0, v) for v in range(5))

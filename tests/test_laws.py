@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from girthlab import corpus, families
+from girthlab import corpus, families, laws
 from girthlab.errors import Disconnected, InfiniteGirth, PreconditionViolation
 from girthlab.girth import girth_report
 from girthlab.isomorphism import are_isomorphic
@@ -19,13 +19,14 @@ from girthlab.laws import (
     PRISM_OR_MOBIUS,
     Q3,
     TRUNC011,
+    _maps_onto,
     canonical_graph,
     census,
     check_all_laws,
     classify_g5,
 )
 from girthlab.multigraph import from_edge_list
-from girthlab.schemes import truncate, unique_cubic_scheme
+from girthlab.schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
 
 
 def law(results, law_id):
@@ -96,13 +97,82 @@ def test_laws_reject_disconnected_and_forests():
 
 
 def test_capped_classification_is_unverified_not_violated():
-    # 600 vertices, past the isomorphism cap: the decompositions still run
+    # 600 vertices, past the isomorphism cap: ladders are checked by their
+    # labelling, with no search, so the cap does not apply
     for g in (families.prism(300), families.mobius(300)):
         results = check_all_laws(g, iso_cap=512)
         for law_id in ("thm3.11", "thm-main"):
             r = law(results, law_id)
-            assert r.applicable and r.holds is None, (law_id, r.witness)
+            assert r.applicable and r.holds is True, (law_id, r.witness)
         assert not any(r.violated for r in results)
+    # a search against a named model past the cap is unverified
+    results = check_all_laws(families.petersen(), iso_cap=9)
+    for law_id in ("thm3", "thm-main"):
+        r = law(results, law_id)
+        assert r.applicable and r.holds is None, (law_id, r.witness)
+    assert not any(r.violated for r in results)
+
+
+def test_ladders_are_decomposed_once(monkeypatch):
+    decompositions = _spy(monkeypatch, "maps", "decompose_112")
+    for g in (families.prism(300), families.mobius(300)):
+        decompositions.clear()
+        check_all_laws(g, iso_cap=512)
+        assert len(decompositions) == 1
+
+
+def test_searches_only_against_named_models(monkeypatch):
+    named = {
+        families.complete(4),
+        families.complete_bipartite(3, 3),
+        families.cube_q3(),
+        families.petersen(),
+        families.dodecahedron(),
+        families.heawood(),
+        families.tutte_coxeter(),
+        families.tutte_12cage(),
+    }
+    isomorphisms = _spy(monkeypatch, "isomorphism", "find_isomorphism")
+    graphs = [g for _, g in itertools.islice(corpus.iter_corpus(corpus.CUBIC_LE14), 200)]
+    graphs += [families.prism(7), families.mobius(6), truncate(unique_cubic_scheme(families.prism(3))).graph]
+    for g in graphs:
+        check_all_laws(g)
+    assert isomorphisms
+    assert all(args[1] in named for args in isomorphisms)
+
+
+def test_a_wrong_rotation_violates_thm36(monkeypatch):
+    k5 = families.complete(5)
+    tr = truncate(DihedralScheme.from_rotations(k5, [k5.out_arcs(v) for v in range(5)])).graph
+    results = check_all_laws(tr)
+    assert law(results, "thm3.6").holds is True
+
+    def permuted(g, report=None):
+        # swap two arcs of the rotation at base vertex 0, of valence 4
+        lam, scheme = decompose_011(g, report)
+        a, b, c, d = scheme.rotation(0)
+        rotations = [(a, c, b, d)] + [scheme.rotation(v) for v in range(1, lam.n)]
+        return lam, DihedralScheme.from_rotations(lam, rotations)
+
+    monkeypatch.setattr(laws, "decompose_011", permuted)
+    results = check_all_laws(tr)
+    assert law(results, "thm3.6").holds is False
+    assert law(results, "thm-main").holds is False
+
+
+def test_maps_onto_checks_edges_with_multiplicities():
+    path = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    assert _maps_onto(path, path, [0, 1, 2, 3])
+    assert _maps_onto(path, path, [3, 2, 1, 0])
+    assert not _maps_onto(path, path, [0, 0, 2, 3])  # not a bijection
+    assert not _maps_onto(path, path, [1, 0, 2, 3])  # two vertices swapped
+    assert not _maps_onto(path, from_edge_list(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), [0, 1, 2, 3])
+    double = from_edge_list(3, [(0, 1), (0, 1), (1, 2)])
+    assert not _maps_onto(double, from_edge_list(3, [(0, 1), (1, 2), (1, 2)]), [0, 1, 2])
+    assert _maps_onto(double, from_edge_list(3, [(0, 1), (1, 2), (1, 2)]), [2, 1, 0])
+    loop = from_edge_list(2, [(0, 0), (0, 1)])
+    assert not _maps_onto(loop, from_edge_list(2, [(1, 1), (0, 1)]), [0, 1])
+    assert _maps_onto(loop, from_edge_list(2, [(1, 1), (0, 1)]), [1, 0])
 
 
 def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
