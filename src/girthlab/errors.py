@@ -29,6 +29,10 @@ class DanglingEndpoint(GirthLabError):
     """An edge references a vertex that is not declared."""
 
 
+class NotAnArc(GirthLabError):
+    """The given arc is not one of the graph's arcs."""
+
+
 class InvalidScheme(GirthLabError):
     """Rotation data does not form a dihedral scheme, or the scheme
     cannot be truncated into a cubic graph."""

@@ -1,14 +1,22 @@
-"""Desk-scale multigraph isomorphism: colour refinement plus backtracking.
+"""Desk-scale multigraph isomorphism: individualise and refine.
 
 Correctness over speed; loops and edge multiplicities are part of the
 matching contract. Guarded by a vertex cap: the laws search only against
 the fixed named models (at most 126 vertices), and the constructive
 theorems are checked by the bijection their decompositions build.
+
+The two graphs are refined as one disjoint union, g on vertices 0..n-1
+and h on n..2n-1, so that a cell is a colour class of both. Every split
+depends on cell ids and edge counts only, never on vertex names, so an
+isomorphism carries each cell of g onto the same cell of h: a cell with
+more vertices of one graph than of the other ends the branch. The search
+individualises one vertex of g against each candidate of h in a cell and
+refines again, until every cell holds one vertex of each graph; an
+equitable partition of that shape is an isomorphism.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
 from typing import Optional
 
 from .errors import SizeCapExceeded
@@ -30,43 +38,59 @@ def _neighbor_mults(g: MultiGraph) -> tuple[list[dict[int, int]], list[int]]:
     return nbr, loops
 
 
-def _joint_colors(
-    g: MultiGraph,
-    h: MultiGraph,
-    nbr_g: list[dict[int, int]],
-    loops_g: list[int],
-    nbr_h: list[dict[int, int]],
-    loops_h: list[int],
-    anchor: tuple[int, int] | None,
-) -> tuple[list[int], list[int]]:
-    """Refine both graphs against one shared color table so that equal
-    color ids mean equal refinement classes across the two graphs."""
-
-    def raw(graph, nbr, loops, anchored):
-        return [
-            (v == anchored, graph.degree(v), loops[v], tuple(sorted(nbr[v].values())))
-            for v in range(graph.n)
-        ]
-
-    def sig(nbr, loops, colors):
-        return [
-            (colors[v], loops[v], tuple(sorted((colors[w], m) for w, m in nbr[v].items())))
-            for v in range(len(colors))
-        ]
-
-    au = anchor[0] if anchor else -1
-    av = anchor[1] if anchor else -1
-    sig_g, sig_h = raw(g, nbr_g, loops_g, au), raw(h, nbr_h, loops_h, av)
-    col_g: list[int] = []
-    col_h: list[int] = []
-    while True:
-        table = {s: i for i, s in enumerate(sorted(set(sig_g) | set(sig_h)))}
-        new_g = [table[s] for s in sig_g]
-        new_h = [table[s] for s in sig_h]
-        if new_g == col_g and new_h == col_h:
-            return col_g, col_h
-        col_g, col_h = new_g, new_h
-        sig_g, sig_h = sig(nbr_g, loops_g, col_g), sig(nbr_h, loops_h, col_h)
+def _refine(
+    adj: list[list[tuple[int, int]]],
+    n: int,
+    color: list[int],
+    cells: list[set[int]],
+    queue: list[int],
+) -> bool:
+    """Split cells until every vertex of a cell has as many edges into each
+    cell as the others (an equitable partition), with the queued cells as
+    the first splitters. A split cell keeps its id for its part with the
+    least count into the splitter (zero when the splitter misses some of
+    it), and its other parts take new ids by increasing count; a split
+    cell not queued queues all its parts but a largest one. False as soon
+    as a cell holds more vertices of g (ids below n) than of h."""
+    queued = set(queue)
+    while queue:
+        s = queue.pop()
+        queued.discard(s)
+        count: dict[int, int] = {}
+        for v in cells[s]:
+            for w, m in adj[v]:
+                count[w] = count.get(w, 0) + m
+        hit: dict[int, list[int]] = {}
+        for w in count:
+            hit.setdefault(color[w], []).append(w)
+        for c in sorted(hit):
+            cell = cells[c]
+            by_count: dict[int, list[int]] = {}
+            for w in hit[c]:
+                by_count.setdefault(count[w], []).append(w)
+            keys = sorted(by_count)
+            if len(hit[c]) == len(cell):
+                if len(keys) == 1:
+                    continue
+                cells[c] = cell = set(by_count[keys.pop(0)])
+            else:
+                cell.difference_update(hit[c])
+            parts = [c]
+            for k in keys:
+                part = by_count[k]
+                if 2 * sum(w < n for w in part) != len(part):
+                    return False
+                for w in part:
+                    color[w] = len(cells)
+                parts.append(len(cells))
+                cells.append(set(part))
+            if c not in queued:
+                parts.remove(max(parts, key=lambda p: len(cells[p])))
+            for p in parts:
+                if p not in queued:
+                    queued.add(p)
+                    queue.append(p)
+    return True
 
 
 def find_isomorphism(
@@ -83,72 +107,55 @@ def find_isomorphism(
         raise SizeCapExceeded(f"isomorphism capped at {cap} vertices")
     if g.n != h.n or g.edge_count != h.edge_count:
         return None
-    (nbr_g, loops_g), (nbr_h, loops_h) = _neighbor_mults(g), _neighbor_mults(h)
-    col_g, col_h = _joint_colors(g, h, nbr_g, loops_g, nbr_h, loops_h, anchor)
-    if Counter(col_g) != Counter(col_h):
+    n = g.n
+    au, av = anchor if anchor else (-1, -1)
+    adj: list[list[tuple[int, int]]] = []
+    keys = []
+    for graph, offset, anchored in ((g, 0, au), (h, n, av)):
+        nbr, loops = _neighbor_mults(graph)
+        for v in range(n):
+            adj.append([(offset + w, m) for w, m in nbr[v].items()])
+            keys.append((v == anchored, graph.degree(v), loops[v], tuple(sorted(nbr[v].values()))))
+    table = {k: i for i, k in enumerate(sorted(set(keys)))}
+    color = [table[k] for k in keys]
+    cells: list[set[int]] = [set() for _ in table]
+    for x, c in enumerate(color):
+        cells[c].add(x)
+    if any(2 * sum(x < n for x in cell) != len(cell) for cell in cells):
+        return None
+    if not _refine(adj, n, color, cells, list(range(len(cells)))):
         return None
 
-    by_color: dict[int, list[int]] = {}
-    for x in range(h.n):
-        by_color.setdefault(col_h[x], []).append(x)
-    candidates = {v: by_color[col_g[v]] for v in range(g.n)}
-
-    # assign in BFS-ish order so every new vertex touches the mapped part
-    order: list[int] = []
-    seen = [False] * g.n
-    starts = sorted(range(g.n), key=lambda v: (len(candidates[v]), v))
-    for s in starts:
-        if seen[s]:
-            continue
-        seen[s] = True
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            order.append(x)
-            for y in sorted(nbr_g[x], key=lambda y: (len(candidates[y]), y)):
-                if not seen[y]:
-                    seen[y] = True
-                    q.append(y)
-
-    mapping = [-1] * g.n
-    pre = [-1] * h.n
-
-    def fits(v: int, x: int) -> bool:
-        for w, m in nbr_g[v].items():
-            mw = mapping[w]
-            if mw >= 0 and nbr_h[x].get(mw) != m:
-                return False
-        # the converse: mapped h-neighbors of x must pull back to
-        # g-neighbors of v with the same multiplicity
-        for y, m in nbr_h[x].items():
-            w = pre[y]
-            if w >= 0 and nbr_g[v].get(w) != m:
-                return False
-        return True
-
-    # depth-first over `order` with an explicit stack, so that the depth
-    # is not bounded by the interpreter's recursion limit; tried[i] is
-    # how many candidates of order[i] the search has tried
-    tried = [0] * len(order)
-    i = 0
-    while 0 <= i < len(order):
-        v = order[i]
-        if mapping[v] >= 0:  # backtracked to v: undo its assignment
-            pre[mapping[v]] = -1
-            mapping[v] = -1
-        cands = candidates[v]
-        for j in range(tried[i], len(cands)):
-            x = cands[j]
-            if pre[x] < 0 and fits(v, x):
-                mapping[v] = x
-                pre[x] = v
-                tried[i] = j + 1
-                i += 1
+    # depth-first with an explicit stack of (partition, g vertex, the h
+    # candidates left for it), so that the depth is not bounded by the
+    # interpreter's recursion limit
+    stack: list[tuple[list[int], list[set[int]], int, list[int]]] = []
+    while True:
+        split = [c for c in cells if len(c) > 2]
+        if not split:
+            mapping = [-1] * n
+            for cell in cells:
+                v, x = sorted(cell)
+                mapping[v] = x - n
+            return mapping
+        target = min(split, key=len)
+        v = min(target)
+        stack.append((color, cells, v, sorted((x for x in target if x >= n), reverse=True)))
+        while stack:
+            color, cells, v, cands = stack[-1]
+            if not cands:
+                stack.pop()
+                continue
+            x = cands.pop()
+            color, cells = color[:], [set(c) for c in cells]
+            c = color[v]
+            cells[c] -= {v, x}
+            color[v] = color[x] = len(cells)
+            cells.append({v, x})
+            if _refine(adj, n, color, cells, [len(cells) - 1]):
                 break
         else:
-            tried[i] = 0
-            i -= 1
-    return mapping if i == len(order) else None
+            return None
 
 
 def are_isomorphic(

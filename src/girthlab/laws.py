@@ -96,9 +96,9 @@ def _truncation_of(g: MultiGraph, scheme: DihedralScheme) -> bool:
     its decomposition built: v goes to the truncation vertex of the arc
     that contract_cycles gives it."""
     tr = truncate(scheme)
-    vertex_of = {a: i for i, a in tr.vertex_origin.items()}
     _, arc_of = contract_cycles(g, {e.id for e in scheme.base.edges})
-    return _maps_onto(g, tr.graph, [vertex_of.get(a, -1) for a in arc_of])
+    # truncation vertex i is the base arc at position i of its arc table
+    return _maps_onto(g, tr.graph, scheme.base._arc_indices(arc_of))
 
 
 def _ladder_labels(g: MultiGraph, coloring: dict[str, list[int]], prism: bool) -> list[int]:

@@ -39,15 +39,19 @@ class ClosedWalk:
         arcs = tuple(arcs)
         if not arcs:
             raise EdgeCoverageViolation("empty walk")
+        ps = g._arc_indices(arcs)
+        if -1 in ps:
+            raise EdgeCoverageViolation(f"{arcs[ps.index(-1)]} is not an arc of the graph")
+        table = g._arc_table()
+        inverse = [table.arcs[table.inverse[p]] for p in ps]
         for i, a in enumerate(arcs):
             b = arcs[(i + 1) % len(arcs)]
-            if g.arc_head(a) != b.tail:
+            if inverse[i].tail != b.tail:
                 raise EdgeCoverageViolation(f"arcs {a} and {b} do not chain")
         edge_ids = [a.edge for a in arcs]
         if len(set(edge_ids)) != len(edge_ids):
             raise EdgeCoverageViolation("walk traverses an edge twice")
-        reverse = tuple(g.inverse(a) for a in reversed(arcs))
-        return cls(min(least_rotation(arcs), least_rotation(reverse)))
+        return cls(min(least_rotation(arcs), least_rotation(inverse[::-1])))
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -85,8 +89,14 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
     if not g.is_connected():
         raise Disconnected("map skeleton must be connected")
     normalized: list[ClosedWalk] = []
+    positions: list[list[int]] = []  # each walk's arcs in g's arc table
     for w in walks:
-        normalized.append(w if isinstance(w, ClosedWalk) else ClosedWalk.from_arcs(g, w))
+        w = w if isinstance(w, ClosedWalk) else ClosedWalk.from_arcs(g, w)
+        ps = g._arc_indices(w.arcs)
+        if -1 in ps:
+            raise EdgeCoverageViolation(f"{w.arcs[ps.index(-1)]} is not an arc of the graph")
+        normalized.append(w)
+        positions.append(ps)
 
     coverage: dict[int, int] = {e.id: 0 for e in g.edges}
     for w in normalized:
@@ -97,42 +107,44 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
         raise EdgeCoverageViolation(f"edges not on exactly two walks: {bad}")
 
     # consecutive face edges relate the two arcs pointing out of the
-    # shared vertex; loops contribute their two arcs independently
-    partners: dict[Arc, list[Arc]] = {a: [] for a in g.arcs()}
-    for w in normalized:
-        k = len(w.arcs)
-        for i in range(k):
-            a, b = w.arcs[i], w.arcs[(i + 1) % k]
-            s, t = g.inverse(a), b
-            partners[s].append(t)
-            partners[t].append(s)
+    # shared vertex; loops contribute their two arcs independently. Arcs
+    # are positions in g's arc table, partners[p] those of arc p.
+    arcs, start, inverse, _ = g._arc_table()
+    partners: list[list[int]] = [[] for _ in arcs]
+    for ps in positions:
+        for a, b in zip(ps, ps[1:] + ps[:1]):
+            s = inverse[a]
+            partners[s].append(b)
+            partners[b].append(s)
     rotations = []
+    seen = bytearray(len(arcs))
     for v in range(g.n):
-        out = g.out_arcs(v)
-        for a in out:
-            ps = partners[a]
-            if len(ps) != 2 or len(set(ps)) != 2 or a in ps:
-                raise NotDihedral(f"arc {a} has partners {ps}")
+        first, stop = start[v], start[v + 1]
+        if first == stop:
+            continue  # an isolated vertex: from_rotations rejects its valence
+        for p in range(first, stop):
+            ps = partners[p]
+            if len(ps) != 2 or ps[0] == ps[1] or p in ps:
+                raise NotDihedral(f"arc {arcs[p]} has partners {[arcs[q] for q in ps]}")
         # walk the 2-regular partner relation into one cycle over out(v)
-        start = out[0]
-        cyc = [start]
-        seen = {start}
-        prev: Arc | None = None
+        cyc = [first]
+        seen[first] = 1
+        prev = -1
         while True:
             cur = cyc[-1]
             nxt = partners[cur][0] if partners[cur][0] != prev else partners[cur][1]
-            if nxt == start:
+            if nxt == first:
                 break
-            if nxt.tail != v or nxt in seen:
+            if not first <= nxt < stop or seen[nxt]:
                 raise NotDihedral(f"relation at vertex {v} leaves out({v})")
             cyc.append(nxt)
-            seen.add(nxt)
+            seen[nxt] = 1
             prev = cur
-        if len(cyc) != len(out):
+        if len(cyc) != stop - first:
             raise NotDihedral(
                 f"relation components at vertex {v} do not match out({v})"
             )
-        rotations.append(tuple(cyc))
+        rotations.append(tuple(arcs[p] for p in cyc))
     try:
         scheme = DihedralScheme.from_rotations(g, rotations)
     except InvalidScheme as exc:

@@ -9,9 +9,10 @@ are told apart by their end selector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DanglingEndpoint, SchemaViolation
+from .errors import DanglingEndpoint, NotAnArc, SchemaViolation
 
 
 class Edge(NamedTuple):
@@ -33,51 +34,70 @@ class Arc:
     end: int
 
 
-class MultiGraph:
-    """Immutable multigraph; construct once, read from anywhere."""
+class ArcTable(NamedTuple):
+    """A graph's arcs, indexed once: schemes, truncations and maps work on
+    the integer positions of this table. Read it through
+    MultiGraph._arc_table and MultiGraph._arc_indices."""
 
-    __slots__ = ("_n", "_edges", "_by_id", "_adj", "_degrees")
+    arcs: tuple[Arc, ...]  # in (tail, edge id, end) order
+    start: tuple[int, ...]  # v's out-arcs are at positions start[v] .. start[v + 1] - 1
+    inverse: tuple[int, ...]  # the position of the other arc of the same edge
+    position: dict[int, int]  # 2·edge + end -> position; edge ids may be negative or sparse
+
+
+class MultiGraph:
+    """Immutable multigraph; construct once, read from anywhere. The arc
+    table is built on the first arc query and only read after that; it
+    depends on the graph alone, so threads that race to build it store
+    equal tables."""
+
+    __slots__ = ("_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):
         """`edges` yields (edge id, endpoints); endpoints of length 1 or 2."""
         if n < 0:
             raise SchemaViolation(f"negative vertex count {n}")
-        normalized: list[Edge] = []
-        seen_ids: set[int] = set()
+        by_id: dict[int, Edge] = {}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        loops = []
         for eid, ends in edges:
             ends = tuple(ends)
             if len(ends) == 2 and ends[0] == ends[1]:
-                ends = (ends[0],)  # a loop given as (v, v)
+                ends = ends[:1]  # a loop given as (v, v)
             if len(ends) not in (1, 2):
                 raise SchemaViolation(f"edge {eid}: {len(ends)} endpoints")
             for v in ends:
                 if not (0 <= v < n):
                     raise DanglingEndpoint(f"edge {eid}: endpoint {v} not in 0..{n - 1}")
-            if eid in seen_ids:
+            if eid in by_id:
                 raise SchemaViolation(f"duplicate edge id {eid}")
-            seen_ids.add(eid)
-            if len(ends) == 2 and ends[0] > ends[1]:
-                ends = (ends[1], ends[0])
-            normalized.append(Edge(eid, ends))
-        normalized.sort(key=lambda e: e.id)
-        self._n = n
-        self._edges = tuple(normalized)
-        self._by_id = {e.id: e for e in self._edges}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        degs = [0] * n
-        for e in self._edges:
-            if e.is_loop:
-                v = e.ends[0]
-                adj[v].append((v, e.id))
-                degs[v] += 2
+            if len(ends) == 1:
+                v = ends[0]
+                adj[v].append((v, eid))
+                loops.append(v)
             else:
-                u, v = e.ends
-                adj[u].append((v, e.id))
-                adj[v].append((u, e.id))
-                degs[u] += 1
-                degs[v] += 1
-        self._adj = tuple(tuple(a) for a in adj)
+                u, v = ends
+                if u > v:
+                    u, v = v, u
+                    ends = (u, v)
+                adj[u].append((v, eid))
+                adj[v].append((u, eid))
+            by_id[eid] = Edge(eid, ends)
+        ids = list(by_id)
+        if ids != sorted(ids):
+            # keep the edges, and so each adjacency list, in edge-id order
+            by_id = {eid: by_id[eid] for eid in sorted(ids)}
+            for a in adj:
+                a.sort(key=itemgetter(1))
+        degs = [len(a) for a in adj]
+        for v in loops:
+            degs[v] += 1  # a loop appears once at v and counts twice
+        self._n = n
+        self._edges = tuple(by_id.values())
+        self._by_id = by_id
+        self._adj = tuple(map(tuple, adj))
         self._degrees = tuple(degs)
+        self._arc_cache = None
 
     # --- basic accessors ---
 
@@ -154,38 +174,68 @@ class MultiGraph:
 
     # --- arcs ---
 
+    def _arc_table(self) -> ArcTable:
+        """The arc table, built on the first arc query and then kept."""
+        table = self._arc_cache
+        if table is None:
+            arcs: list[Arc] = []
+            keys: list[int] = []
+            start = [0]
+            # each adjacency list is in edge-id order, so no sort is needed
+            for v, nbrs in enumerate(self._adj):
+                for w, eid in nbrs:
+                    if w == v:  # a loop: both of its arcs leave v
+                        arcs += (Arc(v, eid, 0), Arc(v, eid, 1))
+                        keys += (2 * eid, 2 * eid + 1)
+                    else:
+                        end = int(v > w)
+                        arcs.append(Arc(v, eid, end))
+                        keys.append(2 * eid + end)
+                start.append(len(arcs))
+            position = {k: p for p, k in enumerate(keys)}
+            inverse = tuple(position[k ^ 1] for k in keys)  # flips the end
+            table = self._arc_cache = ArcTable(tuple(arcs), tuple(start), inverse, position)
+        return table
+
+    def _arc_indices(self, arcs: Iterable[Arc]) -> list[int]:
+        """The position of each arc in the arc table, or -1 for one that is
+        not an arc of this graph."""
+        table = self._arc_table()
+        position, known = table.position, table.arcs
+        out = []
+        for a in arcs:
+            p = position.get(2 * a.edge + a.end, -1)
+            out.append(p if p >= 0 and (known[p] is a or known[p] == a) else -1)
+        return out
+
     def arcs_of_edge(self, eid: int) -> tuple[Arc, Arc]:
         e = self._by_id[eid]
-        if e.is_loop:
-            v = e.ends[0]
-            return Arc(v, eid, 0), Arc(v, eid, 1)
-        u, v = e.ends
-        return Arc(u, eid, 0), Arc(v, eid, 1)
+        table = self._arc_table()
+        p = table.position[2 * e.id]
+        return table.arcs[p], table.arcs[table.inverse[p]]
 
     def arcs(self) -> list[Arc]:
         """All 2|E| arcs, sorted by (tail, edge id, end selector)."""
-        out: list[Arc] = []
-        for e in self._edges:
-            out.extend(self.arcs_of_edge(e.id))
-        out.sort()
-        return out
+        return list(self._arc_table().arcs)
 
     def out_arcs(self, v: int) -> list[Arc]:
-        out = [a for _, eid in self._adj[v] for a in self.arcs_of_edge(eid) if a.tail == v]
-        # a loop contributes both of its arcs exactly once each
-        return sorted(set(out))
+        """The arcs with tail v, sorted by (edge id, end selector); a loop
+        contributes both of its arcs."""
+        table = self._arc_table()
+        return list(table.arcs[table.start[v]:table.start[v + 1]])
 
     def inverse(self, arc: Arc) -> Arc:
-        a, b = self.arcs_of_edge(arc.edge)
-        return b if arc == a else a
+        """The other arc of the same edge; NotAnArc if `arc` is not an arc
+        of this graph."""
+        [p] = self._arc_indices((arc,))
+        if p < 0:
+            raise NotAnArc(f"{arc} is not an arc of {self!r}")
+        table = self._arc_table()
+        return table.arcs[table.inverse[p]]
 
     def arc_head(self, arc: Arc) -> int:
         """The vertex the arc points at (equals the tail for loops)."""
-        e = self._by_id[arc.edge]
-        if e.is_loop:
-            return e.ends[0]
-        u, v = e.ends
-        return v if arc.tail == u else u
+        return self.inverse(arc).tail
 
     # --- derived graphs ---
 

@@ -9,14 +9,17 @@ direction) so equal schemes compare and serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
 from .girth import GirthReport, cycle_arcs, girth_cycles, girth_report
 from .multigraph import Arc, MultiGraph
 
 
-def least_rotation(seq: Sequence[Arc]) -> tuple[Arc, ...]:
+T = TypeVar("T")
+
+
+def least_rotation(seq: Sequence[T]) -> tuple[T, ...]:
     """The rotation of a cyclic sequence that starts at its least element."""
     k = seq.index(min(seq))
     return tuple(seq[k:]) + tuple(seq[:k])
@@ -32,6 +35,7 @@ class DihedralScheme:
         cls, base: MultiGraph, rotations: Iterable[Sequence[Arc]]
     ) -> "DihedralScheme":
         """Validate and normalize one rotation cycle per vertex."""
+        arcs, start, _, _ = base._arc_table()
         by_vertex: dict[int, tuple[Arc, ...]] = {}
         for cyc in rotations:
             cyc = tuple(cyc)
@@ -43,31 +47,25 @@ class DihedralScheme:
             v = cyc[0].tail
             if v in by_vertex:
                 raise InvalidScheme(f"two rotation cycles at vertex {v}")
-            out = base.out_arcs(v)
-            if sorted(cyc) != out:
+            # table positions are in arc order, so normalizing the positions
+            # picks the rotation that normalizing the arcs would
+            ps = base._arc_indices(cyc)
+            if not 0 <= v < base.n or sorted(ps) != list(range(start[v], start[v + 1])):
                 raise InvalidScheme(
                     f"rotation at vertex {v} does not list out({v}) exactly once"
                 )
             # the relation is direction-free: take the lesser direction
-            by_vertex[v] = min(least_rotation(cyc), least_rotation(cyc[::-1]))
-        for v in range(base.n):
-            if base.degree(v) < 3:
-                raise InvalidScheme(f"vertex {v} has valence {base.degree(v)} < 3")
+            best = min(least_rotation(ps), least_rotation(ps[::-1]))
+            by_vertex[v] = tuple([arcs[p] for p in best])
+        for v, d in enumerate(base.degrees):
+            if d < 3:
+                raise InvalidScheme(f"vertex {v} has valence {d} < 3")
             if v not in by_vertex:
                 raise InvalidScheme(f"no rotation at vertex {v}")
         return cls(base, by_vertex)
 
     def rotation(self, v: int) -> tuple[Arc, ...]:
         return self.rotations[v]
-
-    def related_pairs(self) -> set[frozenset[Arc]]:
-        """The scheme as a relation: unordered consecutive pairs."""
-        pairs: set[frozenset[Arc]] = set()
-        for cyc in self.rotations.values():
-            k = len(cyc)
-            for i in range(k):
-                pairs.add(frozenset((cyc[i], cyc[(i + 1) % k])))
-        return pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DihedralScheme):
@@ -86,29 +84,27 @@ class TruncationResult:
 
 def truncate(scheme: DihedralScheme) -> TruncationResult:
     """The simple cubic graph on the arcs of the base: arcs adjacent when
-    rotation-consecutive or mutually inverse."""
+    rotation-consecutive or mutually inverse. Truncation vertex i is the
+    base arc at position i of (tail, edge id, end) order."""
     base = scheme.base
-    arcs = base.arcs()  # sorted by (tail, edge id, end)
-    index = {a: i for i, a in enumerate(arcs)}
-    rot_pairs = scheme.related_pairs()
-    inv_pairs: set[frozenset[Arc]] = set()
-    for e in base.edges:
-        a, b = base.arcs_of_edge(e.id)
-        inv_pairs.add(frozenset((a, b)))
+    arcs, _, inverse, _ = base._arc_table()
+    inv_pairs = {(p, q) for p, q in enumerate(inverse) if p < q}
+    rot_pairs: set[tuple[int, int]] = set()
+    for cyc in scheme.rotations.values():
+        ps = base._arc_indices(cyc)
+        for p, q in zip(ps, ps[1:] + ps[:1]):
+            rot_pairs.add((p, q) if p < q else (q, p))
     clash = rot_pairs & inv_pairs
     if clash:
-        pair = sorted(next(iter(clash)))
+        pair = [arcs[p] for p in min(clash)]
         raise InvalidScheme(
             f"loop arcs {pair} are rotation-consecutive; truncation would not be cubic"
         )
-    pairs = sorted(
-        tuple(sorted((index[a], index[b]))) for a, b in map(tuple, rot_pairs | inv_pairs)
-    )
-    graph = MultiGraph(len(arcs), list(enumerate(pairs)))
+    graph = MultiGraph(len(arcs), list(enumerate(sorted(rot_pairs | inv_pairs))))
     if any(d != 3 for d in graph.degrees):
         # only a scheme built without from_rotations gets here
         raise InvalidScheme("truncation is not cubic: a rotation is no cycle over out(v)")
-    return TruncationResult(graph, {i: a for i, a in enumerate(arcs)})
+    return TruncationResult(graph, dict(enumerate(arcs)))
 
 
 def unique_cubic_scheme(g: MultiGraph) -> DihedralScheme:
@@ -151,7 +147,7 @@ def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list
     for v, eid in enumerate(m_at):
         ends = lam.edge(eid).ends
         end = ends.index(component[v]) if len(ends) == 2 else g.edge(eid).ends.index(v)
-        arc_of.append(Arc(component[v], eid, end))
+        arc_of.append(lam.arcs_of_edge(eid)[end])
     return lam, arc_of
 
 

@@ -219,6 +219,29 @@ def test_decompose_112_is_linear_in_the_vertex_count():
     assert large / small < 20
 
 
+def test_truncate_is_linear_in_the_vertex_count():
+    # As above, in CPU time with the collector paused. The scheme and the
+    # truncation work on integer positions in the base's arc table; each
+    # run gets a fresh base, so building that table is timed too.
+    def best_of(n, repeats):
+        times = []
+        for _ in range(repeats):
+            g = families.prism(n)
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.process_time()
+                truncate(unique_cubic_scheme(g))
+                times.append(time.process_time() - start)
+            finally:
+                gc.enable()
+        return min(times)
+
+    small = best_of(500, 5)
+    large = best_of(4000, 2)
+    assert large / small < 20
+
+
 def test_check_all_laws_is_linear_in_the_vertex_count():
     # As above, in CPU time with the collector paused. thm3.11 and thm-main
     # are checked through the ladder's own labelling in O(m); a check that

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 
 from girthlab import families
 from girthlab.errors import SizeCapExceeded
+from girthlab.girth import girth
 from girthlab.isomorphism import (
     are_isomorphic,
     find_isomorphism,
@@ -117,3 +119,70 @@ def test_vertex_transitivity_of_k4_truncation():
 def test_truncated_3_prism_not_vertex_transitive():
     tr = truncate(unique_cubic_scheme(families.prism(3))).graph
     assert not is_vertex_transitive(tr)
+
+
+def maps_edges_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:
+    image = sorted(tuple(sorted(mapping[v] for v in e.ends)) for e in g.edges)
+    return sorted(mapping) == list(range(h.n)) and image == sorted(e.ends for e in h.edges)
+
+
+def test_relabelled_tutte_12cage_is_found_quickly():
+    # colour refinement leaves one class on this cubic graph, and no
+    # automorphism swaps its two bipartition classes: without refining
+    # after each choice, the search ran for minutes
+    cage = families.tutte_12cage()
+    for seed in range(1, 6):
+        perm = list(range(cage.n))
+        random.Random(seed).shuffle(perm)
+        h = cage.relabeled(perm)
+        start = time.process_time()
+        mapping = find_isomorphism(h, cage)
+        assert time.process_time() - start < 1.0
+        assert mapping is not None and maps_edges_onto(h, cage, mapping)
+
+
+def test_edge_switched_tutte_12cage_is_rejected_quickly():
+    # swap the ends of two disjoint edges: still cubic, but a new edge
+    # closes a cycle shorter than 12, so it is no longer the cage
+    cage = families.tutte_12cage()
+    pairs = [e.ends for e in cage.edges]
+    (a, b) = pairs[0]
+    far = next(
+        i for i, (c, d) in enumerate(pairs)
+        if len({a, b, c, d}) == 4 and (a, c) not in pairs and (b, d) not in pairs
+    )
+    c, d = pairs[far]
+    switched = from_edge_list(cage.n, pairs[1:far] + pairs[far + 1:] + [(a, c), (b, d)])
+    assert switched.is_regular() == 3 and girth(switched) < 12
+    start = time.process_time()
+    assert find_isomorphism(switched, cage) is None
+    assert time.process_time() - start < 5.0
+
+
+def test_search_agrees_with_brute_force_on_small_multigraphs():
+    rng = random.Random(11)
+
+    def brute(g, h, anchor):
+        image = sorted(e.ends for e in h.edges)
+        return any(
+            sorted(tuple(sorted(p[v] for v in e.ends)) for e in g.edges) == image
+            for p in permutations(range(g.n))
+            if anchor is None or p[anchor[0]] == anchor[1]
+        )
+
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 8)
+        g = MultiGraph(n, [(i, (rng.randrange(n), rng.randrange(n))) for i in range(m)])
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = g.relabeled(perm)
+        else:
+            h = MultiGraph(n, [(i, (rng.randrange(n), rng.randrange(n))) for i in range(m)])
+        anchor = (rng.randrange(n), rng.randrange(n)) if rng.random() < 0.3 else None
+        mapping = find_isomorphism(g, h, anchor=anchor)
+        assert (mapping is not None) == brute(g, h, anchor)
+        if mapping is not None:
+            assert maps_edges_onto(g, h, mapping)
+            assert anchor is None or mapping[anchor[0]] == anchor[1]

@@ -88,6 +88,12 @@ def test_build_map_rejects_disconnected():
         build_map(g, [tri1, tri1])
 
 
+def test_build_map_rejects_a_lone_vertex():
+    # connected, no edges, no walks: its valence 0 is no rotation
+    with pytest.raises(NotDihedral, match="vertex 0 has valence 0 < 3"):
+        build_map(MultiGraph(1, []), [])
+
+
 def test_closed_walk_validation_and_normalization():
     k4 = families.complete(4)
     pair = {e.ends: e.id for e in k4.edges}
@@ -104,6 +110,21 @@ def test_closed_walk_validation_and_normalization():
         ClosedWalk.from_arcs(k4, tri[:2])  # not closed
     with pytest.raises(EdgeCoverageViolation):
         ClosedWalk.from_arcs(k4, tri + [k4.inverse(tri[-1]), tri[-1]])  # edge reused
+
+
+def test_closed_walk_rejects_arcs_foreign_to_the_graph():
+    k4 = families.complete(4)
+    assert k4.edge(2).ends == (0, 3)
+    # Arc(1, 2, 0) would leave 1 along edge 2, which does not touch 1
+    with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
+        ClosedWalk.from_arcs(k4, [Arc(0, 0, 0), Arc(1, 2, 0)])
+    with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
+        ClosedWalk.from_arcs(k4, [Arc(0, 0, 0), Arc(1, 9, 0)])
+    # walks built for K4 cover the edge ids of a relabelled K4 twice, but
+    # their arcs are not its arcs
+    relabelled = k4.relabeled([1, 2, 3, 0])
+    with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
+        build_map(relabelled, walks_of_girth_cycles(k4))
 
 
 def test_walks_not_inducing_dihedral_rejected():

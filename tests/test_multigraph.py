@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from girthlab.errors import DanglingEndpoint, SchemaViolation
+from girthlab import families
+from girthlab.errors import DanglingEndpoint, NotAnArc, SchemaViolation
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 
 
@@ -92,3 +93,84 @@ def test_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != from_edge_list(3, [(0, 1), (0, 2)])
     assert Arc(0, 1, 0) < Arc(0, 1, 1) < Arc(1, 0, 0)
+
+
+def random_multigraph(rng: random.Random) -> MultiGraph:
+    """Loops, parallel edges, and edge ids that are shuffled, sparse and
+    partly negative."""
+    n = rng.randint(1, 7)
+    ids = rng.sample(range(-40, 40), rng.randint(0, 14))
+    edges = []
+    for eid in ids:
+        u = rng.randrange(n)
+        v = u if rng.random() < 0.2 else rng.randrange(n)
+        edges.append((eid, (u, v)))
+    for _ in range(rng.randint(0, 3)):  # repeat an edge: a parallel pair
+        if edges and len(ids) < 80:
+            eid = rng.choice([i for i in range(-40, 40) if i not in ids])
+            ids.append(eid)
+            edges.append((eid, rng.choice(edges)[1][::-1]))
+    return MultiGraph(n, edges)
+
+
+def brute_arcs(g: MultiGraph) -> dict[Arc, int]:
+    """Every arc of g with its head, straight from the definition: an edge
+    {u, v} with u <= v has the arc u -> v at end 0 and v -> u at end 1."""
+    heads = {}
+    for e in g.edges:
+        u, v = e.ends[0], e.ends[-1]
+        heads[Arc(u, e.id, 0)] = v
+        heads[Arc(v, e.id, 1)] = u
+    return heads
+
+
+def test_arc_layer_matches_the_definition_on_random_multigraphs():
+    rng = random.Random(2024)
+    for _ in range(300):
+        g = random_multigraph(rng)
+        heads = brute_arcs(g)
+        assert g.arcs() == sorted(heads)
+        for v in g:
+            assert g.out_arcs(v) == sorted(a for a in heads if a.tail == v)
+        for e in g.edges:
+            assert g.arcs_of_edge(e.id) == (Arc(e.ends[0], e.id, 0), Arc(e.ends[-1], e.id, 1))
+        for a, head in heads.items():
+            assert g.arc_head(a) == head
+            inv = g.inverse(a)
+            assert inv == Arc(head, a.edge, 1 - a.end) and g.inverse(inv) == a
+        # a second pass reads the same table
+        assert g.arcs() == sorted(heads)
+
+
+def test_foreign_arcs_are_rejected():
+    k4 = families.complete(4)
+    # edge 0 joins 0 and 1, so its end-0 arc leaves 0, not 3
+    for arc in (Arc(3, 0, 0), Arc(0, 0, 1), Arc(0, 99, 0), Arc(0, 0, 2), Arc(1, 0, -1)):
+        with pytest.raises(NotAnArc):
+            k4.inverse(arc)
+        with pytest.raises(NotAnArc):
+            k4.arc_head(arc)
+    loop = MultiGraph(2, [(5, (1,)), (-3, (0, 1))])
+    with pytest.raises(NotAnArc):
+        loop.inverse(Arc(0, 5, 0))
+    assert loop.inverse(Arc(1, 5, 1)) == Arc(1, 5, 0)
+
+
+def test_edges_given_out_of_id_order_are_stored_in_id_order():
+    g = MultiGraph(3, [(7, (2, 0)), (-2, (1,)), (3, (0, 1)), (0, (1, 2))])
+    assert [e.id for e in g.edges] == [-2, 0, 3, 7]
+    assert g.edge(7).ends == (0, 2)
+    assert g.neighbors(1) == ((1, -2), (2, 0), (0, 3))
+    assert g == MultiGraph(3, sorted([(7, (0, 2)), (-2, (1, 1)), (3, (1, 0)), (0, (2, 1))]))
+
+
+def test_construction_errors_come_in_input_order():
+    # the first bad edge decides the error, whatever comes after it
+    with pytest.raises(SchemaViolation, match="edge 4: 3 endpoints"):
+        MultiGraph(2, [(4, (0, 1, 1)), (4, (0, 9))])
+    with pytest.raises(DanglingEndpoint, match="edge 4: endpoint 9 not in 0..1"):
+        MultiGraph(2, [(4, (0, 9)), (4, (0, 1, 1))])
+    with pytest.raises(SchemaViolation, match="duplicate edge id 4"):
+        MultiGraph(2, [(4, (0, 1)), (4, (1,)), (5, (0, 7))])
+    with pytest.raises(SchemaViolation, match="negative vertex count -1"):
+        MultiGraph(-1, [(0, (0, 9))])

@@ -91,6 +91,18 @@ def test_scheme_validation_rejects_bad_rotations():
         DihedralScheme.from_rotations(families.cycle(4), [families.cycle(4).out_arcs(0)])
 
 
+def test_scheme_validation_rejects_foreign_arcs():
+    g = families.complete(4)
+    out = [g.out_arcs(v) for v in range(4)]
+    # Arc(0, 1, 2) is no arc, although 2·1 + 2 is the key of Arc(0, 2, 0)
+    bogus = [out[0][:2] + [Arc(0, 1, 2)]] + out[1:]
+    with pytest.raises(InvalidScheme, match=r"rotation at vertex 0 does not list out\(0\) exactly once"):
+        DihedralScheme.from_rotations(g, bogus)
+    beyond = out + [[Arc(7, 0, 0), Arc(7, 1, 0), Arc(7, 2, 0)]]
+    with pytest.raises(InvalidScheme, match=r"rotation at vertex 7 does not list out\(7\) exactly once"):
+        DihedralScheme.from_rotations(g, beyond)
+
+
 def test_valence_two_rejected():
     sq = families.cycle(4)
     with pytest.raises(InvalidScheme):
