@@ -43,17 +43,20 @@ class UsageError(Exception):
 
 
 def _cap(args: argparse.Namespace, default: int) -> int:
+    """The vertex cap: --max-vertices, else $GIRTHLAB_MAX_VERTICES, else
+    the default; a negative cap is a usage error from either source."""
     if args.max_vertices is not None:
-        return args.max_vertices
-    env = os.environ.get(ENV_CAP)
-    if not env:
-        return default
+        source, value = "--max-vertices", str(args.max_vertices)
+    else:
+        source, value = ENV_CAP, os.environ.get(ENV_CAP)
+        if not value:
+            return default
     try:
-        cap = int(env)
+        cap = int(value)
     except ValueError:
         cap = -1
     if cap < 0:
-        raise UsageError(f"{ENV_CAP} must be a nonnegative integer, got {env!r}")
+        raise UsageError(f"{source} must be a nonnegative integer, got {value!r}")
     return cap
 
 

@@ -28,9 +28,3 @@ def iter_corpus(name: str = CUBIC_LE14) -> Iterator[tuple[str, MultiGraph]]:
     """Yield (graph id, graph); ids are '<file>:<line number>'."""
     for i, line in enumerate(corpus_lines(name), start=1):
         yield f"{name}:{i}", parse_graph6(line)
-
-
-def full_corpus() -> Iterator[tuple[str, MultiGraph]]:
-    """The <= 14 census followed by the 16..20 girth-regular extension."""
-    yield from iter_corpus(CUBIC_LE14)
-    yield from iter_corpus(GIRTHREG_EXT)

@@ -177,55 +177,36 @@ class FamilySpec:
     params: tuple[int, ...] = ()
 
 
-_NO_PARAM = {
-    "petersen": petersen,
-    "heawood": heawood,
-    "tutteCoxeter": tutte_coxeter,
-    "tutte12Cage": tutte_12cage,
-    "dodecahedron": dodecahedron,
-    "cubeQ3": cube_q3,
-    "hoffmanSingleton": hoffman_singleton,
+# family -> (generator, parameter count); cayleyCyclic's None stands for
+# a modulus and one or more connection residues
+_FAMILIES = {
+    "complete": (complete, 1),
+    "completeBipartite": (complete_bipartite, 2),
+    "cycle": (cycle, 1),
+    "prism": (prism, 1),
+    "mobius": (mobius, 1),
+    "cayleyCyclic": (lambda m, *conn: cayley_cyclic(m, conn), None),
+    "petersen": (petersen, 0),
+    "heawood": (heawood, 0),
+    "tutteCoxeter": (tutte_coxeter, 0),
+    "tutte12Cage": (tutte_12cage, 0),
+    "dodecahedron": (dodecahedron, 0),
+    "cubeQ3": (cube_q3, 0),
+    "hoffmanSingleton": (hoffman_singleton, 0),
 }
+_TAKES = ("no parameters", "one parameter", "two parameters")
 
-FAMILY_NAMES = (
-    "complete",
-    "completeBipartite",
-    "cycle",
-    "prism",
-    "mobius",
-    "cayleyCyclic",
-) + tuple(_NO_PARAM)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def generate(spec: FamilySpec) -> MultiGraph:
     """Dispatch a FamilySpec to its generator."""
     name, params = spec.name, spec.params
-    if name in _NO_PARAM:
-        if params:
-            raise BadParams(f"{name} takes no parameters")
-        return _NO_PARAM[name]()
-    if name == "complete":
-        if len(params) != 1:
-            raise BadParams("complete takes one parameter")
-        return complete(params[0])
-    if name == "completeBipartite":
-        if len(params) != 2:
-            raise BadParams("completeBipartite takes two parameters")
-        return complete_bipartite(*params)
-    if name == "cycle":
-        if len(params) != 1:
-            raise BadParams("cycle takes one parameter")
-        return cycle(params[0])
-    if name == "prism":
-        if len(params) != 1:
-            raise BadParams("prism takes one parameter")
-        return prism(params[0])
-    if name == "mobius":
-        if len(params) != 1:
-            raise BadParams("mobius takes one parameter")
-        return mobius(params[0])
-    if name == "cayleyCyclic":
-        if len(params) < 2:
-            raise BadParams("cayleyCyclic takes a modulus and connection residues")
-        return cayley_cyclic(params[0], params[1:])
-    raise BadParams(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
+    if name not in _FAMILIES:
+        raise BadParams(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
+    make, count = _FAMILIES[name]
+    if count is None and len(params) < 2:
+        raise BadParams(f"{name} takes a modulus and connection residues")
+    if count is not None and len(params) != count:
+        raise BadParams(f"{name} takes {_TAKES[count]}")
+    return make(*params)

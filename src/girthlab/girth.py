@@ -8,8 +8,7 @@ to the far edges joining the two depth-d shells; below the girth radius
 shortest paths are unique, so each cycle is recovered by walking from its
 far witness down to u and to v. Loops (girth 1) and parallel pairs
 (girth 2) are the d = 0 and d = 1 cases of the same rule. A graph costs
-O(m · |ball|), where the ball has radius ⌊g/2⌋, independent of n. Global
-cycle enumeration exists only as a cross-check (tests).
+O(m · |ball|), where the ball has radius ⌊g/2⌋, independent of n.
 """
 
 from __future__ import annotations
@@ -198,63 +197,64 @@ def girth_report(g: MultiGraph) -> GirthReport:
 
 # --- girth-cycle listing (partition-guided) ---
 
-def _path_down(g: MultiGraph, ball: Ball, x: int) -> list[int]:
-    """Edge ids of the shortest path from x to the centre of `ball`. Below
-    the girth radius it is unique: each step has exactly one neighbour one
-    step nearer, as a second one would close a cycle shorter than the girth."""
+def _path_down(g: MultiGraph, ball: Ball, x: int) -> list[tuple[int, int, int]]:
+    """The steps (vertex, edge id, next vertex) of the shortest path from x
+    down to the centre of `ball`. Below the girth radius it is unique: a
+    second neighbour one step nearer would close a cycle shorter than the girth."""
     path = []
-    dx = ball[x]
-    while dx:
-        dx -= 1
+    for dx in range(ball[x] - 1, -1, -1):
         step = [(w, eid) for w, eid in g.neighbors(x) if ball.get(w) == dx]
         if len(step) != 1:
             raise GirthInvariantViolation(
                 f"vertex {x} has {len(step)} neighbours one step nearer the centre"
                 " below the girth radius"
             )
-        x, eid = step[0]
-        path.append(eid)
+        w, eid = step[0]
+        path.append((x, eid, w))
+        x = w
     return path
 
 
-def girth_cycles(g: MultiGraph, gir: int | None = None) -> list[frozenset[int]]:
-    """All girth cycles, each as its set of edge ids. Pass the girth when
-    already known to skip recomputing it."""
-    if gir is None:
-        gir = _require_finite(g)
-    found: set[frozenset[int]] = set()
+def _list_cycles(g: MultiGraph, gir: int, eps: dict[int, int]) -> dict[frozenset[int], list[Arc]]:
+    """Each girth cycle, keyed by its edge ids, as its arcs in walk order:
+    from u across e = uv, up from v to y, across the far edge f = yx at even
+    girth, then down to u. An edge's far witnesses are walked only while ε
+    leaves a cycle through it unlisted; a listed cycle lowers the count of
+    each of its edges, and every count must end at zero."""
+    left = dict(eps)
+    cycles: dict[frozenset[int], list[Arc]] = {}
     for e in g.edges:
+        if left[e.id] <= 0:
+            continue
         far, bu, bv = _far(g, gir, e)
         for x, fid, y in far:
-            walk = [e.id, *_path_down(g, bu, x), *_path_down(g, bv, y)]
-            if fid is not None:
-                walk.append(fid)
-            cyc = frozenset(walk)
+            up = [(w, eid, t) for t, eid, w in reversed(_path_down(g, bv, y))]
+            across = [] if fid is None else [(y, fid, x)]
+            walk = [(e.ends[0], e.id, e.ends[-1]), *up, *across, *_path_down(g, bu, x)]
+            cyc = frozenset(eid for _, eid, _ in walk)
             if len(cyc) != gir:
                 raise GirthInvariantViolation(
                     f"closed walk {sorted(cyc)} through edge {e.id} is not a girth cycle"
                 )
-            found.add(cyc)
-    return sorted(found, key=sorted)
+            if cyc not in cycles:
+                # an edge's arc from its greater end has end 1; a loop's arc has end 0
+                cycles[cyc] = [Arc(t, eid, int(t > w)) for t, eid, w in walk]
+                for eid in cyc:
+                    left[eid] -= 1
+                if not left[e.id]:
+                    break
+    bad = sorted(eid for eid, c in left.items() if c)
+    if bad:
+        raise GirthInvariantViolation(f"ε is not the girth-cycle count of edges {bad}")
+    return cycles
 
 
-def cycle_arcs(g: MultiGraph, cycle: Iterable[int]) -> list[Arc]:
-    """The arcs of a cycle (given as edge ids) in traversal order, each
-    arc's tail the head of the one before: from the least vertex, toward
-    its lesser neighbour."""
-    at: dict[int, list[tuple[int, int]]] = {}  # vertex -> (neighbour, edge id)
-    for eid in cycle:
-        ends = g.edge(eid).ends
-        u, v = ends[0], ends[-1]
-        at.setdefault(u, []).append((v, eid))
-        at.setdefault(v, []).append((u, eid))
-    v, prev = min(at), None
-    arcs = []
-    for _ in range(len(at)):  # a cycle has as many edges as vertices
-        w, eid = min(p for p in at[v] if p[1] != prev)
-        arcs.append(Arc(v, eid, g.edge(eid).ends.index(v)))
-        v, prev = w, eid
-    return arcs
+def girth_cycles(g: MultiGraph, gir: int | None = None) -> list[frozenset[int]]:
+    """All girth cycles, each as its set of edge ids, listed against the
+    counts ε. Pass the girth when already known to skip recomputing it."""
+    gir = _require_finite(g) if gir is None else gir
+    eps = {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
+    return sorted(_list_cycles(g, gir, eps), key=sorted)
 
 
 # --- direct path-count of cycles through an edge or a 2-path ---

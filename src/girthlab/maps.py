@@ -22,7 +22,7 @@ from .errors import (
     OddGirth,
     WrongSignature,
 )
-from .girth import GirthReport, cycle_arcs, girth_cycles, girth_report
+from .girth import GirthReport, _list_cycles, girth_report
 from .multigraph import Arc, MultiGraph
 from .schemes import DihedralScheme, TruncationResult, contract_cycles, least_rotation, truncate
 
@@ -181,8 +181,8 @@ def map_from_222(g: MultiGraph, report: GirthReport | None = None) -> MapComplex
     of length g cover each of the 3n/2 edges twice. Pass the girth report
     when already known to skip recomputing it."""
     report = _regular_girth_report(g, (2, 2, 2), report)
-    cycles = girth_cycles(g, report.girth)
-    return build_map(g, [ClosedWalk.from_arcs(g, cycle_arcs(g, c)) for c in cycles])
+    cycles = _list_cycles(g, report.girth, report.epsilon)
+    return build_map(g, [ClosedWalk.from_arcs(g, arcs) for arcs in cycles.values()])
 
 
 def decompose_112(
@@ -211,8 +211,7 @@ def decompose_112(
 
     # each girth cycle alternates X and Y; its g/2 Y-edges walk a face
     walks = []
-    for cyc in girth_cycles(g, report.girth):
-        arcs = cycle_arcs(g, cyc)
+    for cyc, arcs in _list_cycles(g, report.girth, report.epsilon).items():
         on_y = [a.edge in y_set for a in arcs]
         if any(on_y[i] == on_y[i - 1] for i in range(len(arcs))):
             raise GirthInvariantViolation(f"girth cycle {sorted(cyc)} does not alternate between X and Y")

@@ -127,9 +127,6 @@ class MultiGraph:
         """(neighbor, edge id) pairs; a loop at v appears once."""
         return self._adj[v]
 
-    def adjacent_vertices(self, v: int) -> set[int]:
-        return {w for w, _ in self._adj[v]}
-
     # --- structure predicates ---
 
     @property

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
-from .girth import GirthReport, cycle_arcs, girth_cycles, girth_report
+from .girth import GirthReport, _list_cycles, girth_report
 from .multigraph import Arc, MultiGraph
 
 
@@ -171,7 +171,7 @@ def decompose_011(
     if report.regular != (0, 1, 1):
         raise WrongSignature(f"signature {report.regular} != (0, 1, 1)")
 
-    walks = [cycle_arcs(g, c) for c in girth_cycles(g, report.girth)]
+    walks = list(_list_cycles(g, report.girth, report.epsilon).values())
     matching = {e.id for e in g.edges if report.epsilon[e.id] == 0}
     covered = {v for eid in matching for v in g.edge(eid).ends}
     if not 2 * len(matching) == len(covered) == g.n:

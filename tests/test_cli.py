@@ -280,6 +280,17 @@ def test_max_vertices_zero_is_a_cap(petersen_file, capsys):
     assert "10 vertices exceeds cap 0" in out
 
 
+def test_negative_max_vertices_flag_is_one_error_line(petersen_file, capsys):
+    for command in ("analyze", "truncate", "decompose", "verify", "census"):
+        extra = ["--mode", "222"] if command == "decompose" else []
+        code = main([command, *extra, "--max-vertices", "-1", str(petersen_file)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("girthlab: error: --max-vertices")
+        assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["lots", "-3", "1.5"])
 def test_bad_env_cap_is_one_error_line(value, petersen_file, capsys, monkeypatch):
     monkeypatch.setenv("GIRTHLAB_MAX_VERTICES", value)

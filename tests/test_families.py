@@ -123,6 +123,48 @@ def test_family_spec_dispatch():
         families.generate(families.FamilySpec("prism", (2,)))
 
 
+NO_PARAMETER_FAMILIES = (
+    "petersen", "heawood", "tutteCoxeter", "tutte12Cage", "dodecahedron", "cubeQ3",
+    "hoffmanSingleton",
+)
+
+
+def test_family_names_keep_their_order():
+    # the CLI offers them in this order as `generate` choices
+    assert families.FAMILY_NAMES == (
+        "complete", "completeBipartite", "cycle", "prism", "mobius", "cayleyCyclic",
+        *NO_PARAMETER_FAMILIES,
+    )
+
+
+@pytest.mark.parametrize(
+    ("name", "params", "message"),
+    [
+        ("complete", (), "complete takes one parameter"),
+        ("complete", (3, 3), "complete takes one parameter"),
+        ("completeBipartite", (3,), "completeBipartite takes two parameters"),
+        ("completeBipartite", (3, 3, 3), "completeBipartite takes two parameters"),
+        ("cycle", (), "cycle takes one parameter"),
+        ("prism", (), "prism takes one parameter"),
+        ("prism", (5, 5), "prism takes one parameter"),
+        ("mobius", (), "mobius takes one parameter"),
+        ("cayleyCyclic", (), "cayleyCyclic takes a modulus and connection residues"),
+        ("cayleyCyclic", (8,), "cayleyCyclic takes a modulus and connection residues"),
+        *[(name, (1,), f"{name} takes no parameters") for name in NO_PARAMETER_FAMILIES],
+        (
+            "nosuch", (),
+            "unknown family 'nosuch'; choose from complete, completeBipartite, cycle, prism, "
+            "mobius, cayleyCyclic, petersen, heawood, tutteCoxeter, tutte12Cage, dodecahedron, "
+            "cubeQ3, hoffmanSingleton",
+        ),
+    ],
+)
+def test_generate_bad_parameter_messages(name, params, message):
+    with pytest.raises(BadParams) as info:
+        families.generate(families.FamilySpec(name, params))
+    assert str(info.value) == message
+
+
 def test_generated_graphs_respect_moore_bound():
     for spec in (
         families.FamilySpec("complete", (4,)),

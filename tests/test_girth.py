@@ -10,8 +10,8 @@ import pytest
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from girthlab.girth import (
+    _list_cycles,
     check_partition_facts,
-    cycle_arcs,
     distance_partition,
     distance_partition_2path,
     epsilon,
@@ -22,9 +22,9 @@ from girthlab.girth import (
     two_path_counts,
 )
 from girthlab.laws import check_all_laws
-from girthlab.maps import decompose_112
+from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import MultiGraph, from_edge_list
-from girthlab.schemes import truncate, unique_cubic_scheme
+from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
 
 from oracle import (
     naive_distances,
@@ -37,6 +37,9 @@ from oracle import (
 )
 
 TRUNC_3PRISM = truncate(unique_cubic_scheme(families.prism(3))).graph
+TRUNC_K4 = truncate(unique_cubic_scheme(families.complete(4))).graph
+THETA = MultiGraph(2, list(enumerate([(0, 1)] * 3)))  # girth 2
+TWO_LOOPS = MultiGraph(1, [(0, (0,)), (1, (0,))])  # girth 1
 
 
 def _random_cubic(rng: random.Random, n: int) -> MultiGraph:
@@ -507,14 +510,57 @@ def test_partition_facts_cycle_degenerate():
 
 
 def test_cycle_vertex_order_orientation():
-    k4 = families.complete(4)
-    for cyc in girth_cycles(k4):
-        arcs = cycle_arcs(k4, cyc)
-        order = [a.tail for a in arcs]
-        assert order[0] == min(order)
-        assert order[1] == min(order[1], order[-1])
-        assert [k4.arc_head(a) for a in arcs] == order[1:] + order[:1]
-        assert {a.edge for a in arcs} == cyc
+    # each listed cycle is a closed walk: every arc's head is the next
+    # arc's tail, and its arcs cover the cycle's edges once
+    for g in (families.complete(4), families.petersen(), families.heawood(), THETA, TWO_LOOPS):
+        rep = girth_report(g)
+        cycles = _list_cycles(g, rep.girth, rep.epsilon)
+        assert len(cycles) == rep.cycle_count
+        for cyc, arcs in cycles.items():
+            order = [a.tail for a in arcs]
+            assert [g.arc_head(a) for a in arcs] == order[1:] + order[:1]
+            assert {a.edge for a in arcs} == cyc and len(arcs) == rep.girth
+
+
+def test_decompositions_list_each_girth_cycle_once(monkeypatch):
+    # given its report, a decomposition walks the far witnesses of at most
+    # one edge per girth cycle and never searches for the girth
+    mod = importlib.import_module("girthlab.girth")
+    calls = {"_far": 0, "girth": 0}
+
+    def spy(name):
+        real = getattr(mod, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    spy("_far")
+    spy("girth")
+    for g, decompose in (
+        (TRUNC_K4, decompose_011),
+        (families.prism(8), decompose_112),
+        (families.dodecahedron(), map_from_222),
+    ):
+        rep = girth_report(g)
+        calls.update(_far=0, girth=0)
+        decompose(g, report=rep)
+        assert calls["girth"] == 0 and 0 < calls["_far"] <= rep.cycle_count, calls
+        calls.update(_far=0, girth=0)
+        decompose(g)
+        assert calls["girth"] == 1, calls
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("g", [families.complete(4), families.prism(6), TRUNC_3PRISM, THETA])
+def test_listing_checks_epsilon_tally(g, delta):
+    rep = girth_report(g)
+    for eid, count in rep.epsilon.items():
+        forged = {**rep.epsilon, eid: count + delta}
+        with pytest.raises(GirthInvariantViolation, match="girth-cycle count of edges"):
+            _list_cycles(g, rep.girth, forged)
 
 
 def test_report_json_shape():

@@ -10,14 +10,19 @@ import pytest
 import girthlab
 from girthlab import families
 from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
-from girthlab.girth import cycle_arcs, girth_cycles, girth_report
+from girthlab.girth import _list_cycles, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 
 
+def girth_cycle_arcs(g):
+    rep = girth_report(g)
+    return _list_cycles(g, rep.girth, rep.epsilon)
+
+
 def walks_of_girth_cycles(g):
-    return [ClosedWalk.from_arcs(g, cycle_arcs(g, c)) for c in girth_cycles(g)]
+    return [ClosedWalk.from_arcs(g, arcs) for arcs in girth_cycle_arcs(g).values()]
 
 
 def test_build_map_tetrahedron():
@@ -203,8 +208,10 @@ def test_decompose_112_alternation_along_girth_cycles():
     g = families.prism(6)
     _, witness = decompose_112(g)
     y = set(witness["Y"])
-    for cyc in girth_cycles(g):
-        kinds = [a.edge in y for a in cycle_arcs(g, cyc)]
+    for cyc, arcs in girth_cycle_arcs(g).items():
+        assert {a.edge for a in arcs} == cyc
+        assert all(g.arc_head(a) == b.tail for a, b in zip(arcs, arcs[1:] + arcs[:1]))
+        kinds = [a.edge in y for a in arcs]
         assert all(kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds)))
 
 
