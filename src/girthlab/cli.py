@@ -27,6 +27,7 @@ from .codec import (
 )
 from .errors import GirthLabError, InfiniteGirth
 from .girth import girth_report
+from .isomorphism import DEFAULT_ISO_CAP
 from .laws import census as run_census
 from .laws import check_all_laws
 from .maps import decompose_112, map_from_222
@@ -34,7 +35,6 @@ from .multigraph import MultiGraph
 from .schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
 
 ANALYZE_CAP = 100_000
-ISO_CAP = 512
 ENV_CAP = "GIRTHLAB_MAX_VERTICES"
 
 
@@ -100,14 +100,14 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
         if stripped.startswith("["):
             try:
                 docs = json.loads(content)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 yield f"{name}:1", exc, None
                 continue
         elif stripped.startswith("{"):
             # one pretty-printed document, or JSON Lines (handled below)
             try:
                 docs = [json.loads(content)]
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):
                 docs = None
         if docs is not None:
             for k, d in enumerate(docs, start=1):
@@ -152,7 +152,7 @@ def _emit(records: Iterable[Record], fmt: str,
             print(json.dumps(dict(doc, id=gid), separators=(",", ":")))
     else:
         for gid, doc in records:
-            print(text_of(gid, doc))
+            print(f"{gid}: ERROR {doc['error']}" if "error" in doc else text_of(gid, doc))
 
 
 def _run(args: argparse.Namespace, cap: int,
@@ -193,8 +193,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             }
 
     def text(gid: str, doc: dict[str, Any]) -> str:
-        if "error" in doc:
-            return f"{gid}: ERROR {doc['error']}"
         if doc.get("girth") is None:
             return f"{gid}: girth=Infinite (forest)"
         reg = doc["regular"]
@@ -220,18 +218,17 @@ def cmd_truncate(args: argparse.Namespace) -> int:
     cap = _cap(args, ANALYZE_CAP)
     failures = 0
     for gid, g, scheme in iter_graphs(args.paths, cap):
-        if isinstance(g, Exception):
-            print(f"{gid}: ERROR {g}", file=sys.stderr)
-            failures += 1
-            continue
-        try:
-            if scheme is None:
-                scheme = unique_cubic_scheme(g)
-            result = truncate(scheme)
-            print(write_graph6(result.graph))
-        except GirthLabError as exc:
-            print(f"{gid}: ERROR {exc}", file=sys.stderr)
-            failures += 1
+        if not isinstance(g, Exception):
+            try:
+                if scheme is None:
+                    scheme = unique_cubic_scheme(g)
+                result = truncate(scheme)
+                print(write_graph6(result.graph))
+                continue
+            except GirthLabError as exc:
+                g = exc
+        print(f"{gid}: ERROR {g}", file=sys.stderr)
+        failures += 1
     return 1 if failures else 0
 
 
@@ -249,8 +246,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             return {"error": str(exc)}
 
     def text(gid: str, doc: dict[str, Any]) -> str:
-        if "error" in doc:
-            return f"{gid}: ERROR {doc['error']}"
         if doc["mode"] == "011":
             lam = doc["lambda"]
             return (
@@ -269,7 +264,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = _cap(args, ISO_CAP)
+    cap = _cap(args, DEFAULT_ISO_CAP)
 
     def work(g: MultiGraph) -> dict[str, Any]:
         try:
@@ -279,8 +274,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return {"laws": [law.to_json() for law in laws]}
 
     def text(gid: str, doc: dict[str, Any]) -> str:
-        if "error" in doc:
-            return f"{gid}: ERROR {doc['error']}"
         if "skipped" in doc:
             return f"{gid}: skipped ({doc['skipped']})"
         parts = []
@@ -295,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    cap = _cap(args, ISO_CAP)
+    cap = _cap(args, DEFAULT_ISO_CAP)
     stream = ((gid, g) for gid, g, _ in iter_graphs(args.paths, cap))
     result = run_census(stream, iso_cap=cap)
     if args.format in ("json", "json-array"):
@@ -305,12 +298,10 @@ def cmd_census(args: argparse.Namespace) -> int:
     return 1 if result.violations or result.errors else 0
 
 
-def _add_common(p: argparse.ArgumentParser, paths: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json", "json-array"), default="text")
-    p.add_argument("--threads", type=int, default=1, help="accepted and ignored")
     p.add_argument("--max-vertices", type=int, default=None)
-    if paths:
-        p.add_argument("paths", nargs="*", default=["-"])
+    p.add_argument("paths", nargs="*", default=["-"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,9 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return status
     except (UsageError, GirthLabError) as exc:  # per-graph errors never get here
         print(f"girthlab: error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader has gone; devnull keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -222,7 +222,7 @@ def read_multigraph_json_full(
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaViolation(f"not valid JSON: {exc}") from exc
     _check(isinstance(doc, dict), "document must be a JSON object")
     _check("vertices" in doc and "edges" in doc, "missing 'vertices' or 'edges'")

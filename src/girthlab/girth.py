@@ -149,12 +149,9 @@ def _far(g: MultiGraph, gir: int, e: Edge) -> tuple[list[Witness], Ball, Ball]:
     return far, bu, bv
 
 
-def epsilon(g: MultiGraph, eid: int, gir: int | None = None) -> int:
-    """Number of girth cycles containing the edge (cycles as edge sets).
-    Pass the girth when already known to skip recomputing it."""
-    if gir is None:
-        gir = _require_finite(g)
-    return len(_far(g, gir, g.edge(eid))[0])
+def epsilon(g: MultiGraph, eid: int) -> int:
+    """Number of girth cycles containing the edge (cycles as edge sets)."""
+    return len(_far(g, _require_finite(g), g.edge(eid))[0])
 
 
 # --- reports ---
@@ -249,10 +246,9 @@ def _list_cycles(g: MultiGraph, gir: int, eps: dict[int, int]) -> dict[frozenset
     return cycles
 
 
-def girth_cycles(g: MultiGraph, gir: int | None = None) -> list[frozenset[int]]:
-    """All girth cycles, each as its set of edge ids, listed against the
-    counts ε. Pass the girth when already known to skip recomputing it."""
-    gir = _require_finite(g) if gir is None else gir
+def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
+    """All girth cycles, each as its set of edge ids, listed against ε."""
+    gir = _require_finite(g)
     eps = {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
     return sorted(_list_cycles(g, gir, eps), key=sorted)
 

@@ -20,19 +20,7 @@ from .maps import decompose_112, map_from_222
 from .multigraph import MultiGraph
 from .schemes import DihedralScheme, contract_cycles, decompose_011, truncate
 
-LAW_IDS = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "lem3.1",
-    "lem3.2",
-    "cor3.3",
-    "lem3.4",
-    "thm3.6",
-    "thm3.9",
-    "thm3.11",
-    "thm-main",
-)
+EXAMPLES_PER_BUCKET = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,8 +241,8 @@ def check_all_laws(
     else:
         results.append(LawResult("thm1", False, None))
 
-    # thm2: even-girth equality case forces the incidence graphs
-    if girth_regular and k is not None and gir % 2 == 0 and sig[-1] == (k - 1) ** d:
+    # thm2: even-girth equality case forces the incidence graphs; these are simple: girth >= 4
+    if girth_regular and k is not None and gir >= 4 and gir % 2 == 0 and sig[-1] == (k - 1) ** d:
         constant = len(set(sig)) == 1
         ok: bool | None = constant and g.n == families.moore_bound(k, gir)
         wit: Any = {"signature": list(sig), "n": g.n}
@@ -434,7 +422,7 @@ class CensusResult:
                     "inf" if b.girth is None else str(b.girth),
                     "-" if b.signature is None else "(" + ",".join(map(str, b.signature)) + ")",
                     str(b.count),
-                    " ".join(b.examples[:3]),
+                    " ".join(b.examples),
                 )
             )
         widths = [max(len(r[i]) for r in rows) for i in range(4)]
@@ -449,26 +437,9 @@ class CensusResult:
         return "\n".join(lines)
 
 
-def evaluate_for_census(
-    gid: str, g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP
-) -> tuple[tuple, GirthReport | None, list[LawResult]]:
-    """Bucket key, report and law results for a single census graph."""
-    try:
-        report = girth_report(g)
-    except InfiniteGirth:
-        return (None, None), None, []
-    key = (report.girth, report.regular)
-    try:
-        laws = check_all_laws(g, report, iso_cap=iso_cap)
-    except Disconnected:
-        laws = []
-    return key, report, laws
-
-
 def census(
     items: Iterable[tuple[str, MultiGraph | Exception]],
     iso_cap: int = DEFAULT_ISO_CAP,
-    example_limit: int = 3,
 ) -> CensusResult:
     """Aggregate (girth, signature) buckets and law results over a stream;
     parse errors are collected, not fatal."""
@@ -478,13 +449,21 @@ def census(
             result.errors.append((gid, str(item)))
             continue
         result.total += 1
-        key, _, laws = evaluate_for_census(gid, item, iso_cap=iso_cap)
+        laws: list[LawResult] = []
+        try:
+            report = girth_report(item)
+            key: tuple = (report.girth, report.regular)
+            laws = check_all_laws(item, report, iso_cap=iso_cap)
+        except InfiniteGirth:
+            key = (None, None)
+        except Disconnected:
+            pass
         bucket = result.buckets.get(key)
         if bucket is None:
             bucket = CensusBucket(girth=key[0], signature=key[1])
             result.buckets[key] = bucket
         bucket.count += 1
-        if len(bucket.examples) < example_limit:
+        if len(bucket.examples) < EXAMPLES_PER_BUCKET:
             bucket.examples.append(gid)
         for law in laws:
             if law.violated:

@@ -47,9 +47,7 @@ class ArcTable(NamedTuple):
 
 class MultiGraph:
     """Immutable multigraph; construct once, read from anywhere. The arc
-    table is built on the first arc query and only read after that; it
-    depends on the graph alone, so threads that race to build it store
-    equal tables."""
+    table is built on the first arc query and only read after that."""
 
     __slots__ = ("_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache")
 

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
+import girthlab
 from girthlab import families
 from girthlab.cli import main
-from girthlab.codec import write_graph6
+from girthlab.codec import write_graph6, write_multigraph_json
+from girthlab.corpus import CUBIC_LE14
+
+CORPUS = str(files("girthlab.data").joinpath(CUBIC_LE14))
 
 
 @pytest.fixture()
@@ -62,15 +71,6 @@ def test_analyze_json_array(tmp_path, capsys):
     assert code == 0
     docs = json.loads(out)
     assert [d["girth"] for d in docs] == [3, 4]
-
-
-def test_threads_do_not_change_bytes(tmp_path, capsys):
-    p = tmp_path / "many.g6"
-    lines = [write_graph6(families.prism(n)) for n in range(3, 10)]
-    p.write_text("\n".join(lines) + "\n")
-    _, out1 = run(capsys, "analyze", "--threads", "1", "--format", "json", p)
-    _, out4 = run(capsys, "analyze", "--threads", "4", "--format", "json", p)
-    assert out1 == out4
 
 
 def test_verify_past_a_thousand_vertices(tmp_path, capsys):
@@ -249,16 +249,24 @@ def test_mobius_truncate_pipeline_vertex_count(tmp_path, capsys):
     assert doc["girth"] == 3 and doc["regular"] == [0, 1, 1]
 
 
-def test_census_of_bundled_corpus(capsys):
-    from girthlab.corpus import CUBIC_LE14
-    from importlib.resources import files
+def test_census_of_bundled_corpus(tmp_path, capsys):
+    from girthlab.multigraph import from_edge_list
 
-    path = str(files("girthlab.data").joinpath(CUBIC_LE14))
-    code, out = run(capsys, "census", "--format", "json", path)
+    # the 2- and 3-dipoles (two vertices, parallel edges) have girth 2
+    dipoles = tmp_path / "dipoles.jsonl"
+    dipoles.write_text("".join(
+        json.dumps(write_multigraph_json(from_edge_list(2, [(0, 1)] * k))) + "\n" for k in (2, 3)
+    ))
+    code, out = run(capsys, "census", "--format", "json", CORPUS, dipoles)
     assert code == 0
     doc = json.loads(out)
-    assert doc["total"] == 621
+    assert doc["total"] == 621 + 2
     assert doc["violations"] == []
+    code, out = run(capsys, "verify", "--format", "json", dipoles)
+    assert code == 0
+    for line in out.splitlines():
+        laws = {law["law"]: law for law in json.loads(line)["laws"]}
+        assert not laws["thm2"]["applicable"]
 
 
 def test_max_vertices_flag_and_env(tmp_path, capsys, monkeypatch):
@@ -304,43 +312,58 @@ def test_bad_env_cap_is_one_error_line(value, petersen_file, capsys, monkeypatch
 
 
 def _unreadable_inputs(tmp_path):
+    """Files that cannot be read or decoded, and the (id, a word of the
+    error message) of each record they give. JSON nested past the
+    recursion limit comes as a whole-file array, as a whole-file document
+    and as a JSON line after a readable K4, whose record has no word."""
+    missing = tmp_path / "missing.g6"
     bad = tmp_path / "latin1.g6"
     bad.write_bytes(b"\xff\xfe not utf-8\n")
-    return [tmp_path / "missing.g6", bad]
+    deep = "[" * 100_000
+    array, document, lines = (tmp_path / f"deep-{k}.json" for k in ("array", "document", "lines"))
+    array.write_text(deep)
+    document.write_text('{"vertices": ' + deep)
+    lines.write_text(json.dumps(write_multigraph_json(families.complete(4))) + '\n{"edges": ' + deep)
+    records = [
+        (str(missing), "No such file"),
+        (str(bad), "decode"),
+        (f"{array}:1", "recursion"),
+        (f"{document}:1", "recursion"),
+        (f"{lines}:1", None),
+        (f"{lines}:2", "recursion"),
+    ]
+    return [missing, bad, array, document, lines], records
 
 
 @pytest.mark.parametrize(
     "command", [["analyze"], ["decompose", "--mode", "222"], ["verify"]]
 )
 def test_unreadable_inputs_become_error_records(command, tmp_path, capsys):
-    missing, bad = _unreadable_inputs(tmp_path)
+    paths, records = _unreadable_inputs(tmp_path)
     cube = tmp_path / "q3.g6"
     cube.write_text(write_graph6(families.cube_q3()) + "\n")
-    code, out = run(capsys, *command, "--format", "json", missing, cube, bad)
+    code, out = run(capsys, *command, "--format", "json", paths[0], cube, *paths[1:])
     assert code == 1
     docs = [json.loads(line) for line in out.splitlines()]
-    assert [d["id"] for d in docs] == [str(missing), f"{cube}:1", str(bad)]
-    assert "No such file" in docs[0]["error"]
-    assert "decode" in docs[2]["error"]
-    assert "error" not in docs[1]
+    records.insert(1, (f"{cube}:1", None))
+    assert [d["id"] for d in docs] == [gid for gid, _ in records]
+    for doc, (_, word) in zip(docs, records):
+        assert word in doc["error"] if word else "error" not in doc
 
 
 def test_unreadable_inputs_in_truncate_and_census(tmp_path, capsys):
-    missing, bad = _unreadable_inputs(tmp_path)
-    k4 = tmp_path / "k4.g6"
-    k4.write_text(write_graph6(families.complete(4)) + "\n")
-    code = main(["truncate", str(missing), str(k4), str(bad)])
+    paths, records = _unreadable_inputs(tmp_path)
+    errors = [gid for gid, word in records if word]
+    code = main(["truncate", *map(str, paths)])
     captured = capsys.readouterr()
     assert code == 1
     assert len(captured.out.splitlines()) == 1  # the truncation of K4
-    assert [line.split(": ERROR")[0] for line in captured.err.splitlines()] == [
-        str(missing), str(bad)
-    ]
-    code, out = run(capsys, "census", "--format", "json", missing, k4, bad)
+    assert [line.split(": ERROR")[0] for line in captured.err.splitlines()] == errors
+    code, out = run(capsys, "census", "--format", "json", *paths)
     assert code == 1
     doc = json.loads(out)
     assert doc["total"] == 1
-    assert [e["graph"] for e in doc["errors"]] == [str(missing), str(bad)]
+    assert [e["graph"] for e in doc["errors"]] == errors
 
 
 def test_json_input_over_the_cap_is_an_error_record(tmp_path, capsys):
@@ -405,3 +428,38 @@ def test_json_array_on_empty_input(tmp_path, capsys):
     code, out = run(capsys, "analyze", "--format", "json-array", p)
     assert code == 0
     assert out == "[]\n"
+
+
+def _cli_process(argv, **kwargs):
+    """The CLI in a child process whose stdout is block-buffered, as it is
+    when a pipe reads it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(girthlab.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "girthlab.cli", *map(str, argv)], env=env, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["verify", "--format", "json"], ["decompose", "--mode", "112"]]
+)
+def test_a_reader_that_closes_the_pipe_gets_no_traceback(command, tmp_path):
+    p = tmp_path / "corpus.g6"
+    p.write_text(Path(CORPUS).read_text() * 4)  # more output than a pipe holds
+    proc = _cli_process([*command, p], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
+
+
+def test_a_pipe_closed_before_the_first_flush_gets_no_traceback(petersen_file):
+    # one record stays in the buffer until the command has returned
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["analyze", petersen_file], stdout=write, stderr=subprocess.PIPE)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        os.close(write)
+    assert err == b""
+    assert proc.returncode == 1

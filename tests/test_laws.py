@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import json
+import random
 import sys
+from contextlib import suppress
 
 import pytest
 
 from girthlab import corpus, families, laws
-from girthlab.errors import Disconnected, InfiniteGirth, PreconditionViolation
+from girthlab.codec import parse_graph6, read_multigraph_json_full, write_multigraph_json, write_sparse6
+from girthlab.errors import Disconnected, GirthLabError, InfiniteGirth, PreconditionViolation
 from girthlab.girth import girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.laws import (
@@ -25,6 +29,7 @@ from girthlab.laws import (
     check_all_laws,
     classify_g5,
 )
+from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import from_edge_list
 from girthlab.schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
 
@@ -87,6 +92,20 @@ def test_decomposition_laws_applicable_and_hold():
     assert law(results, "thm3.9").applicable and law(results, "thm3.9").holds
     results = check_all_laws(families.mobius(6))
     assert law(results, "thm3.11").applicable and law(results, "thm3.11").holds
+
+
+def dipole(k):
+    """Two vertices joined by k parallel edges: girth 2."""
+    return from_edge_list(2, [(0, 1)] * k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_thm2_does_not_apply_at_girth_two(k):
+    # generalised polygons are simple, so the Moore bound of girth 2 is never asked for
+    assert not law(check_all_laws(dipole(k)), "thm2").applicable
+    result = census([("dipole", dipole(k))])
+    assert [(b.girth, b.count) for b in result.buckets.values()] == [(2, 1)]
+    assert not result.violations
 
 
 def test_laws_reject_disconnected_and_forests():
@@ -333,3 +352,37 @@ def test_census_text_and_json_shapes():
     assert doc["total"] == 1
     assert doc["buckets"][0]["signature"] == [2, 2, 2]
     assert doc["buckets"][0]["examples"] == ["k4"]
+
+
+# --- seeded fuzzing ---
+
+def random_multigraphs(rng, count):
+    """Multigraphs on 1-7 vertices with up to 12 edges, about 15 % of them
+    loops; then the 2- and 3-dipoles, so that these are always drawn."""
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        ends = [rng.randrange(n) for _ in range(rng.randint(0, 12))]
+        yield from_edge_list(n, [(u, u if rng.random() < 0.15 else rng.randrange(n)) for u in ends])
+    yield from (dipole(k) for k in (2, 3))
+
+
+def test_seeded_random_multigraphs():
+    rng = random.Random(5)
+    graphs = list(random_multigraphs(rng, 1500))
+    result = census((str(i), g) for i, g in enumerate(graphs))
+    assert result.total == len(graphs) and not result.violations
+    for g in graphs:
+        for work in (decompose_011, decompose_112, map_from_222, classify_g5):
+            with suppress(GirthLabError):
+                work(g)
+        with suppress(GirthLabError):
+            truncate(unique_cubic_scheme(g))
+        scheme = None
+        if min(g.degrees) >= 3:
+            rotations = [rng.sample(g.out_arcs(v), g.degree(v)) for v in g]
+            scheme = DihedralScheme.from_rotations(g, rotations)
+            with suppress(GirthLabError):
+                truncate(scheme)
+        h = parse_graph6(write_sparse6(g))
+        assert h.n == g.n and sorted(e.ends for e in h.edges) == sorted(e.ends for e in g.edges)
+        assert read_multigraph_json_full(json.dumps(write_multigraph_json(g, scheme))) == (g, scheme)
