@@ -1,18 +1,19 @@
 """Girth, per-edge girth-cycle counts, signatures and distance partitions.
 
-Everything local rests on one bounded BFS, `_ball`: the distances of the
-vertices within distance d of a source, read straight off the graph's
-adjacency. For girth 2d+1 the girth cycles through an edge uv correspond
-one-to-one to the far vertices at distance d from both ends, for girth 2d
-to the far edges joining the two depth-d shells; below the girth radius
-shortest paths are unique, so each cycle is recovered by walking from its
-far witness down to u and to v. Loops (girth 1) and parallel pairs
-(girth 2) are the d = 0 and d = 1 cases of the same rule. A graph costs
-O(m · |ball|), where the ball has radius ⌊g/2⌋, independent of n.
+The report counts the girth cycles through every edge by one BFS of radius
+d = ⌊g/2⌋ per root r, n BFS in all. Each vertex reached is labelled with
+its branch, the edge at r its unique short path leaves by. A girth cycle
+through r is an edge joining two depth-d vertices of different branches
+(g = 2d+1) or two parents of one depth-d vertex (g = 2d), and adds 1 to
+both branches; any other edge off the BFS tree closes a shorter cycle. The
+counts of an edge from its two ends must agree. ε of one edge and the cycle
+listing walk per edge from each far witness (`_far`) down the balls (`_ball`)
+around both ends; the distance partitions intersect those balls.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -154,6 +155,64 @@ def epsilon(g: MultiGraph, eid: int) -> int:
     return len(_far(g, _require_finite(g), g.edge(eid))[0])
 
 
+def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
+    """ε of every edge, in edge-id order, by one BFS per root (see the module docstring)."""
+    if gir <= 2:  # a loop is its own cycle; a parallel pair is one
+        mult = Counter(e.ends for e in g.edges)
+        return {e.id: int(e.is_loop) if gir == 1 else mult[e.ends] - 1 for e in g.edges}
+    d, odd = gir // 2, gir % 2
+    neighbors = g.neighbors
+    eps = dict.fromkeys((e.id for e in g.edges), 0)
+    # depth i from root r is marked r·(d + 1) + i, so earlier roots' marks read as unseen
+    dist, up, branch = [-1] * g.n, [-1] * g.n, [0] * g.n  # up: the tree edge to the parent
+    for r in range(g.n):
+        base, nbrs = r * (d + 1), neighbors(r)
+        counts, far = [0] * len(nbrs), base + d
+        dist[r], layer = base, [w for w, _ in nbrs]
+        for b, (w, eid) in enumerate(nbrs):
+            dist[w], up[w], branch[w] = base + 1, eid, b
+        parents: dict[int, set[int]] = {}  # the branches of depth-d vertices' parents
+        for at in range(base + 2, far + 1):
+            nxt = []
+            for v in layer:
+                b, tree = branch[v], up[v]
+                for w, eid in neighbors(v):
+                    if eid == tree:
+                        continue
+                    if dist[w] < base:
+                        dist[w], up[w], branch[w] = at, eid, b
+                        nxt.append(w)
+                    elif (dist[w] == at == far and not odd
+                          and b not in parents.setdefault(w, {branch[w]})):
+                        parents[w].add(b)
+                    else:
+                        raise GirthInvariantViolation(
+                            f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
+                        )
+            layer = nxt
+        for x in layer if odd else ():  # each edge across layer d, seen from both ends
+            b = branch[x]
+            for y, eid in neighbors(x):
+                if dist[y] == far:
+                    if branch[y] == b:
+                        raise GirthInvariantViolation(
+                            f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
+                        )
+                    counts[b] += 1
+        for bs in parents.values():
+            for b in bs:
+                counts[b] += len(bs) - 1
+        for (w, eid), c in zip(nbrs, counts):
+            if w > r:
+                eps[eid] = c
+            elif eps[eid] != c:
+                raise GirthInvariantViolation(
+                    f"edge {eid} lies on {eps[eid]} girth cycles counted from vertex {w}"
+                    f" but on {c} counted from vertex {r}"
+                )
+    return eps
+
+
 # --- reports ---
 
 @dataclass(frozen=True, slots=True)
@@ -176,16 +235,17 @@ class GirthReport:
 
 def girth_report(g: MultiGraph) -> GirthReport:
     gir = _require_finite(g)
-    eps = {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
+    eps = _rooted_epsilon(g, gir)
     total = sum(eps.values())
     if total % gir:
         raise GirthInvariantViolation(
             f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
         )
     signatures: dict[int, tuple[int, ...]] = {}
-    for v in range(g.n):
-        incident = [eps[eid] for _, eid in g.neighbors(v)]
-        incident += [eps[eid] for w, eid in g.neighbors(v) if w == v]  # a loop counts twice
+    for v, nbrs in enumerate(map(g.neighbors, range(g.n))):
+        incident = [eps[eid] for _, eid in nbrs]
+        if g.has_loops:
+            incident += [eps[eid] for w, eid in nbrs if w == v]  # a loop counts twice
         signatures[v] = tuple(sorted(incident))
     values = set(signatures.values())
     regular = values.pop() if len(values) == 1 and g.n > 0 else None
@@ -249,8 +309,7 @@ def _list_cycles(g: MultiGraph, gir: int, eps: dict[int, int]) -> dict[frozenset
 def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """All girth cycles, each as its set of edge ids, listed against ε."""
     gir = _require_finite(g)
-    eps = {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
-    return sorted(_list_cycles(g, gir, eps), key=sorted)
+    return sorted(_list_cycles(g, gir, _rooted_epsilon(g, gir)), key=sorted)
 
 
 # --- direct path-count of cycles through an edge or a 2-path ---

@@ -47,9 +47,12 @@ class ArcTable(NamedTuple):
 
 class MultiGraph:
     """Immutable multigraph; construct once, read from anywhere. The arc
-    table is built on the first arc query and only read after that."""
+    table and whether any edges are parallel are found on the first query
+    and only read after that."""
 
-    __slots__ = ("_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache")
+    __slots__ = (
+        "_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache", "_has_loops", "_parallel"
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):
         """`edges` yields (edge id, endpoints); endpoints of length 1 or 2."""
@@ -96,6 +99,8 @@ class MultiGraph:
         self._adj = tuple(map(tuple, adj))
         self._degrees = tuple(degs)
         self._arc_cache = None
+        self._has_loops = bool(loops)
+        self._parallel: bool | None = None
 
     # --- basic accessors ---
 
@@ -129,16 +134,14 @@ class MultiGraph:
 
     @property
     def has_loops(self) -> bool:
-        return any(e.is_loop for e in self._edges)
+        return self._has_loops
 
     @property
     def has_parallel_edges(self) -> bool:
-        seen: set[tuple[int, ...]] = set()
-        for e in self._edges:
-            if e.ends in seen:
-                return True
-            seen.add(e.ends)
-        return False
+        """Two edges with the same ends, two loops at one vertex included."""
+        if self._parallel is None:
+            self._parallel = len({e.ends for e in self._edges}) < len(self._edges)
+        return self._parallel
 
     @property
     def is_simple(self) -> bool:

@@ -10,7 +10,9 @@ import pytest
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from girthlab.girth import (
+    _far,
     _list_cycles,
+    _rooted_epsilon,
     check_partition_facts,
     distance_partition,
     distance_partition_2path,
@@ -80,21 +82,61 @@ def _random_multigraph(rng: random.Random) -> MultiGraph:
     return from_edge_list(n, pairs)
 
 
+def _subdivided(rng: random.Random, g: MultiGraph) -> MultiGraph:
+    """g with each edge made a path of 1 to 4 edges, maybe a bare cycle
+    beside it, and pendant trees hung anywhere: vertices of degree 1 and 2
+    everywhere, and core components with and without degree-3 vertices."""
+    n, pairs = g.n, []
+    for e in g.edges:
+        inner = list(range(n, n + rng.randrange(4)))
+        n += len(inner)
+        path = [e.ends[0], *inner, e.ends[-1]]
+        pairs += zip(path, path[1:])
+    if rng.random() < 0.6:
+        ring = rng.randint(3, 40)
+        pairs += [(n + i, n + (i + 1) % ring) for i in range(ring)]
+        n += ring
+    for _ in range(rng.randrange(12) if n else 0):
+        pairs.append((rng.randrange(n), n))
+        n += 1
+    return from_edge_list(n, pairs)
+
+
+def _union(*parts: MultiGraph) -> MultiGraph:
+    """The disjoint union, vertices and edges numbered part after part."""
+    n, pairs = 0, []
+    for g in parts:
+        pairs += [tuple(n + v for v in e.ends) for e in g.edges]
+        n += g.n
+    return from_edge_list(n, pairs)
+
+
 def _random_graphs() -> list[MultiGraph]:
     rng = random.Random(2024)
     out = [_random_cubic(rng, n) for n in (8, 10, 12, 14, 16, 18, 20, 24)]
     out += [_random_girth5_with_trees(rng, core, pendants) for core, pendants in
             ((10, 4), (12, 8), (16, 6), (20, 10), (24, 12), (14, 20))]
     out += [_random_multigraph(rng) for _ in range(24)]
+    # disconnected unions, of equal girths and of different ones
+    out += [_union(out[0], out[1]), _union(out[3], families.petersen(), out[9])]
+    # cubic cores with degree-2 chains, bare cycles and pendant trees
+    out += [_subdivided(rng, _random_cubic(rng, n)) for n in (6, 8, 10, 12)]
     return out
 
 
 RANDOM_GRAPHS = _random_graphs()
 
 
-def _assert_matches_oracle(g: MultiGraph) -> None:
+def _far_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
+    """ε of every edge counted on its own, by its far witnesses."""
+    return {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
+
+
+def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
     """girth, report, cycles, ε and the distance-partition cells of every
-    edge, each against its brute-force oracle."""
+    edge, each against its brute-force oracle; the report's ε also against
+    the per-edge count. `epsilon` and `distance_partition` search for the
+    girth on every call, so `edges` may cap the edges they are asked about."""
     gir = naive_girth(g)
     assert girth(g) == gir
     if gir is None:
@@ -103,11 +145,11 @@ def _assert_matches_oracle(g: MultiGraph) -> None:
     cycles = naive_girth_cycles(g)
     rep = girth_report(g)
     assert rep.girth == gir and rep.cycle_count == len(cycles)
-    assert rep.epsilon == eps
+    assert rep.epsilon == eps == _far_epsilon(g, gir)
     assert rep.signatures == naive_signatures(g)
     listed = girth_cycles(g)
     assert len(listed) == len(cycles) and set(listed) == cycles
-    for e in g.edges:
+    for e in g.edges[:edges]:
         assert epsilon(g, e.id) == eps[e.id]
         if not e.is_loop:
             u, v = e.ends
@@ -146,26 +188,6 @@ def test_girth_peels_trees_in_linear_time():
     start = time.perf_counter()
     assert girth(from_edge_list(50 + n, cycle + pendant)) == 50
     assert time.perf_counter() - start < 1.0
-
-
-def _subdivided(rng: random.Random, g: MultiGraph) -> MultiGraph:
-    """g with each edge made a path of 1 to 4 edges, maybe a bare cycle
-    beside it, and pendant trees hung anywhere: vertices of degree 1 and 2
-    everywhere, and core components with and without degree-3 vertices."""
-    n, pairs = g.n, []
-    for e in g.edges:
-        inner = list(range(n, n + rng.randrange(4)))
-        n += len(inner)
-        path = [e.ends[0], *inner, e.ends[-1]]
-        pairs += zip(path, path[1:])
-    if rng.random() < 0.6:
-        ring = rng.randint(3, 40)
-        pairs += [(n + i, n + (i + 1) % ring) for i in range(ring)]
-        n += ring
-    for _ in range(rng.randrange(12) if n else 0):
-        pairs.append((rng.randrange(n), n))
-        n += 1
-    return from_edge_list(n, pairs)
 
 
 def test_girth_of_subdivided_graphs_matches_oracle():
@@ -269,6 +291,29 @@ def test_check_all_laws_is_linear_in_the_vertex_count():
     assert large / small < 20
 
 
+def test_girth_report_is_linear_in_the_vertex_count():
+    # As above, in CPU time with the collector paused. The report runs one
+    # BFS of radius girth // 2 per vertex; the prism's girth is 4 at every
+    # size, so each BFS costs the same.
+    def best_of(n, repeats):
+        g = families.prism(n)
+        times = []
+        for _ in range(repeats):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.process_time()
+                girth_report(g)
+                times.append(time.process_time() - start)
+            finally:
+                gc.enable()
+        return min(times)
+
+    small = best_of(500, 5)
+    large = best_of(4000, 2)
+    assert large / small < 20
+
+
 def test_multigraph_girth_conventions():
     assert girth(from_edge_list(2, [(0, 0), (0, 1)])) == 1
     assert girth(from_edge_list(2, [(0, 1), (0, 1)])) == 2
@@ -322,8 +367,10 @@ def test_non_regular_graph_has_no_graph_signature():
 
 def test_oracle_equivalence_on_named_graphs():
     for g in (
-        families.complete(4),
-        families.petersen(),
+        families.complete(4),  # girth 3
+        families.complete_bipartite(3, 3),  # girth 4
+        families.petersen(),  # girth 5
+        families.dodecahedron(),  # girth 5
         families.prism(5),
         families.mobius(6),
         families.heawood(),  # girth 6
@@ -331,11 +378,13 @@ def test_oracle_equivalence_on_named_graphs():
         TRUNC_3PRISM,
     ):
         _assert_matches_oracle(g)
+    _assert_matches_oracle(families.tutte_12cage(), edges=3)  # girth 12
 
 
 def test_oracle_equivalence_on_random_graphs():
     kinds = {naive_girth(g) for g in RANDOM_GRAPHS}
-    assert {1, 2, 3, 4, 5, None}.issubset(kinds)
+    assert {1, 2, 3, 4, 5, None}.issubset(kinds) and max(k or 0 for k in kinds) > 5
+    assert any(not g.is_connected() and naive_girth(g) for g in RANDOM_GRAPHS)
     for g in RANDOM_GRAPHS:
         _assert_matches_oracle(g)
 
@@ -375,10 +424,46 @@ def test_path_counts_match_oracle_on_random_graphs():
 )
 def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth, run, message):
     # a wrong girth breaks the partition facts the counts rest on; the
-    # checks are raises, so they also hold under python -O
-    monkeypatch.setattr(importlib.import_module("girthlab.girth"), "girth", lambda _g: wrong_girth)
-    with pytest.raises(GirthInvariantViolation, match=message):
+    # checks are raises, so they also hold under python -O. The rooted
+    # count meets a shorter cycle first; handed the per-edge count instead,
+    # conservation and the listing find the fault by their own checks.
+    mod = importlib.import_module("girthlab.girth")
+    monkeypatch.setattr(mod, "girth", lambda _g: wrong_girth)
+    with pytest.raises(GirthInvariantViolation, match="shorter than the girth"):
         run(g)
+    far = _far_epsilon(g, wrong_girth)
+    monkeypatch.setattr(mod, "_rooted_epsilon", lambda _g, _gir: far)
+    with pytest.raises(GirthInvariantViolation, match=message):
+        _list_cycles(g, wrong_girth, far) if run is girth_cycles else run(g)
+
+
+@pytest.mark.parametrize(
+    ("g", "wrong_girth", "message"),
+    [
+        # an edge inside layer 1 of the BFS from vertex 0, on a 4-cycle
+        (families.prism(5), 6, "edge 10 closes"),
+        # from vertex 0: the 4-cycle 1-2-4-3 gives vertex 4 two parents in one branch
+        (from_edge_list(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]), 6, "edge 4 closes"),
+        # from vertex 0: the triangle 2-3-4 puts an edge inside one branch at depth 3
+        (from_edge_list(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)]), 7, "edge 4 closes"),
+    ],
+)
+def test_rooted_count_rejects_shorter_cycles(g, wrong_girth, message):
+    with pytest.raises(GirthInvariantViolation, match=f"{message} a cycle shorter than the girth"):
+        _rooted_epsilon(g, wrong_girth)
+
+
+def test_rooted_count_compares_both_ends():
+    # K4 whose vertex 0 does not list its edge to vertex 3: counted from
+    # vertex 0 the edge lies on no triangle, from vertex 3 on two
+    class OneSided(MultiGraph):
+        def neighbors(self, v):
+            return tuple(p for p in super().neighbors(v) if (v, p[0]) != (0, 3))
+
+    g = OneSided(4, list(enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+    with pytest.raises(GirthInvariantViolation, match="edge 2 lies on 0 girth cycles counted"
+                       " from vertex 0 but on 2 counted from vertex 3"):
+        _rooted_epsilon(g, 3)
 
 
 def test_signature_is_isomorphism_invariant():

@@ -61,6 +61,10 @@ def test_simplicity_flags():
     assert looped.has_loops and not looped.is_simple
     doubled = from_edge_list(2, [(0, 1), (0, 1)])
     assert doubled.has_parallel_edges and not doubled.is_simple
+    assert not looped.has_parallel_edges and not doubled.has_loops
+    # two loops at one vertex are parallel, one of them given as (v, v)
+    twin_loops = MultiGraph(2, [(5, (0, 0)), (3, (0,)), (4, (0, 1))])
+    assert twin_loops.has_loops and twin_loops.has_parallel_edges
 
 
 def test_connectivity():
