@@ -2,6 +2,11 @@
 map decompositions for finite graphs, with machine checks of the
 classification laws they satisfy."""
 
+from importlib import import_module
+
+# Every command needs codec, girth and multigraph; an eager `girth` also stays
+# the function, where a submodule's first import would bind the module here.
+# The other names load with their module on first access (PEP 562).
 from .codec import (
     parse_graph6,
     read_multigraph_json,
@@ -22,13 +27,31 @@ from .girth import (
     girth_report,
     two_path_counts,
 )
-from .isomorphism import are_isomorphic, find_isomorphism, is_vertex_transitive
-from .laws import Classification, LawResult, census, check_all_laws, classify_g5
-from .maps import ClosedWalk, MapComplex, build_map, decompose_112, map_from_222, truncate_map
 from .multigraph import Arc, MultiGraph, from_edge_list
-from .schemes import DihedralScheme, TruncationResult, decompose_011, truncate, unique_cubic_scheme
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    name: module
+    for module, names in (
+        ("isomorphism", "are_isomorphic find_isomorphism is_vertex_transitive"),
+        ("laws", "Classification LawResult census check_all_laws classify_g5"),
+        ("maps", "ClosedWalk MapComplex build_map decompose_112 map_from_222 truncate_map"),
+        ("schemes", "DihedralScheme TruncationResult decompose_011 truncate unique_cubic_scheme"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "Arc",

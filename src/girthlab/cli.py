@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import families
 from .codec import (
@@ -26,13 +26,10 @@ from .codec import (
     write_sparse6,
 )
 from .errors import GirthLabError, InfiniteGirth
-from .girth import girth_report
-from .isomorphism import DEFAULT_ISO_CAP
-from .laws import census as run_census
-from .laws import check_all_laws
-from .maps import decompose_112, map_from_222
 from .multigraph import MultiGraph
-from .schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .schemes import DihedralScheme
 
 ANALYZE_CAP = 100_000
 ENV_CAP = "GIRTHLAB_MAX_VERTICES"
@@ -176,9 +173,11 @@ def _run(args: argparse.Namespace, cap: int,
     return status
 
 
-# --- commands ---
+# --- commands (each imports only what it runs) ---
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .girth import girth_report
+
     def work(g: MultiGraph) -> dict[str, Any]:
         try:
             return girth_report(g).to_json()
@@ -215,6 +214,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_truncate(args: argparse.Namespace) -> int:
+    from .schemes import truncate, unique_cubic_scheme
     cap = _cap(args, ANALYZE_CAP)
     failures = 0
     for gid, g, scheme in iter_graphs(args.paths, cap):
@@ -233,6 +233,9 @@ def cmd_truncate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from .maps import decompose_112, map_from_222
+    from .schemes import decompose_011
+
     def work(g: MultiGraph) -> dict[str, Any]:
         try:
             if args.mode == "011":
@@ -264,6 +267,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .isomorphism import DEFAULT_ISO_CAP
+    from .laws import check_all_laws
     cap = _cap(args, DEFAULT_ISO_CAP)
 
     def work(g: MultiGraph) -> dict[str, Any]:
@@ -288,9 +293,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .isomorphism import DEFAULT_ISO_CAP
+    from .laws import census
     cap = _cap(args, DEFAULT_ISO_CAP)
     stream = ((gid, g) for gid, g, _ in iter_graphs(args.paths, cap))
-    result = run_census(stream, iso_cap=cap)
+    result = census(stream, iso_cap=cap)
     if args.format in ("json", "json-array"):
         print(json.dumps(result.to_json(), separators=(",", ":")))
     else:

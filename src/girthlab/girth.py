@@ -44,9 +44,15 @@ def _ball(g: MultiGraph, src: int, d: int) -> Ball:
 # --- girth ---
 
 def girth(g: MultiGraph) -> int | None:
-    """Length of a shortest cycle; None for forests.
+    """Length of a shortest cycle; None for forests. Searched for on the
+    first call for each graph and kept on the graph."""
+    if g._girth == 0:
+        g._girth = _shortest_cycle(g)
+    return g._girth
 
-    Loops give girth 1 and a parallel pair girth 2; otherwise the girth
+
+def _shortest_cycle(g: MultiGraph) -> int | None:
+    """Loops give girth 1 and a parallel pair girth 2; otherwise the girth
     of the simple graph via rooted BFS over its 2-core, each cut off at
     half the best cycle found so far. Only core vertices of degree >= 3
     are roots: a cycle through none of them is a whole core component,
@@ -343,11 +349,10 @@ def _count_paths(
     return total
 
 
-def epsilon_by_paths(g: MultiGraph, eid: int, gir: int | None = None) -> int:
+def epsilon_by_paths(g: MultiGraph, eid: int) -> int:
     """ε by direct definition: simple u-v paths of length g-1 avoiding uv.
     Used as the literal side of the partition-fact checks."""
-    if gir is None:
-        gir = _require_finite(g)
+    gir = _require_finite(g)
     e = g.edge(eid)
     u, v = e.ends[0], e.ends[-1]
     return _count_paths(g, _ball(g, v, gir - 1), u, v, gir - 1, {u}, eid)
@@ -471,7 +476,7 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
                     bad4.append((i, cell_name, len(cell), want))
         results.append(FactResult(4, True, not bad4, bad4 or None))
 
-    eps_direct = epsilon_by_paths(g, eid, gir)
+    eps_direct = epsilon_by_paths(g, eid)
 
     # (5) even girth: ε(uv) counts the far cross edges
     if gir % 2 == 0:

@@ -47,11 +47,12 @@ class ArcTable(NamedTuple):
 
 class MultiGraph:
     """Immutable multigraph; construct once, read from anywhere. The arc
-    table and whether any edges are parallel are found on the first query
-    and only read after that."""
+    table, whether any edges are parallel and the girth (`girth.girth`)
+    are found on the first query and only read after that."""
 
     __slots__ = (
-        "_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache", "_has_loops", "_parallel"
+        "_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache", "_has_loops", "_parallel",
+        "_girth",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):
@@ -101,6 +102,7 @@ class MultiGraph:
         self._arc_cache = None
         self._has_loops = bool(loops)
         self._parallel: bool | None = None
+        self._girth: int | None = 0  # 0 until girth() runs; None for a forest
 
     # --- basic accessors ---
 

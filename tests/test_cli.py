@@ -430,6 +430,37 @@ def test_json_array_on_empty_input(tmp_path, capsys):
     assert out == "[]\n"
 
 
+# runs one command in a fresh interpreter, then names the girthlab modules it loaded
+LOADED_MODULES = """
+import sys
+from girthlab.cli import main
+main(sys.argv[1:])
+print(*sorted(m.removeprefix("girthlab.") for m in sys.modules if m.startswith("girthlab.")))
+"""
+
+
+@pytest.mark.parametrize(
+    ("command", "needs", "skips"),
+    [
+        (["analyze"], {"codec", "girth", "multigraph"}, {"laws", "maps", "schemes", "isomorphism"}),
+        (["truncate"], {"schemes"}, {"laws", "maps", "isomorphism"}),
+        (["decompose", "--mode", "112"], {"maps", "schemes"}, {"laws", "isomorphism"}),
+    ],
+    ids=["analyze", "truncate", "decompose"],
+)
+def test_each_command_loads_only_what_it_runs(command, needs, skips, tmp_path):
+    p = tmp_path / "empty.g6"
+    p.write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(girthlab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *command, str(p)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert needs <= loaded and not skips & loaded, sorted(loaded)
+
+
 def _cli_process(argv, **kwargs):
     """The CLI in a child process whose stdout is block-buffered, as it is
     when a pipe reads it."""

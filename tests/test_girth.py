@@ -135,8 +135,9 @@ def _far_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
 def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
     """girth, report, cycles, ε and the distance-partition cells of every
     edge, each against its brute-force oracle; the report's ε also against
-    the per-edge count. `epsilon` and `distance_partition` search for the
-    girth on every call, so `edges` may cap the edges they are asked about."""
+    the per-edge count. `edges` may cap the edges that `epsilon` and
+    `distance_partition` are asked about: the graph keeps its girth, so each
+    costs a few balls, but the oracle's cells cost far more per edge."""
     gir = naive_girth(g)
     assert girth(g) == gir
     if gir is None:
@@ -378,7 +379,31 @@ def test_oracle_equivalence_on_named_graphs():
         TRUNC_3PRISM,
     ):
         _assert_matches_oracle(g)
-    _assert_matches_oracle(families.tutte_12cage(), edges=3)  # girth 12
+    _assert_matches_oracle(families.tutte_12cage(), edges=100)  # girth 12, 189 edges
+
+
+def test_per_edge_calls_search_for_the_girth_once_per_graph(monkeypatch):
+    mod = importlib.import_module("girthlab.girth")
+    searches = []
+    search = mod._shortest_cycle
+    monkeypatch.setattr(mod, "_shortest_cycle", lambda g: searches.append(g) or search(g))
+    g = families.heawood()  # built anew on each call
+    for e in g.edges:
+        u, v = e.ends
+        epsilon(g, e.id)
+        distance_partition(g, u, v)
+        check_partition_facts(g, u, v)
+    (a, _), (b, _), _ = g.neighbors(0)
+    distance_partition_2path(g, a, 0, b)
+    two_path_counts(g, 0)
+    girth_report(g)
+    girth_cycles(g)
+    assert searches == [g] and girth(g) == 6
+    tree = from_edge_list(3, [(0, 1), (1, 2)])
+    for _ in range(3):
+        with pytest.raises(InfiniteGirth):
+            epsilon(tree, 0)
+    assert searches == [g, tree]
 
 
 def test_oracle_equivalence_on_random_graphs():

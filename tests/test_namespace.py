@@ -1,0 +1,48 @@
+"""The package namespace: the codec, graph and girth names load with
+`girthlab`, the others on first access, and each is the object its home
+module defines."""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import girthlab
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    for name in girthlab.__all__:
+        obj = getattr(girthlab, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert set(girthlab.__all__) <= set(dir(girthlab))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        girthlab.no_such_name
+
+
+def test_readme_entry_points_import_and_girth_stays_the_function():
+    # a fresh interpreter, so that the lazy names load here for the first time
+    block = re.search(
+        r"## Library entry points\n\n```python\n(.*?)```", README.read_text(), re.S
+    ).group(1)
+    script = f"""
+import sys
+import girthlab.girth
+{block}
+print(girth is sys.modules["girthlab.girth"].girth, truncate.__module__)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(girthlab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "girthlab.schemes"]
