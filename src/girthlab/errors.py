@@ -49,7 +49,7 @@ class InfiniteGirth(GirthLabError):
 
 
 class NotAnEdge(GirthLabError):
-    """The given vertex pair is not an edge of the graph."""
+    """The given vertex pair or edge id is not an edge of the graph."""
 
 
 class NotCubicVertex(GirthLabError):
@@ -57,10 +57,11 @@ class NotCubicVertex(GirthLabError):
 
 
 class GirthInvariantViolation(GirthLabError):
-    """A girth-cycle invariant failed: the ε counts do not add up to whole
-    cycles, a shortest path below the girth radius is not unique, a cycle
-    rebuilt from the partition around an edge is not a girth cycle, or a
-    decomposition finds the girth cycles and ε not as its signature says."""
+    """A girth-cycle invariant failed: a BFS below the girth radius meets a
+    shorter cycle, an edge's ε counted from its two ends differs, the ε
+    counts do not add up to whole cycles, the listed girth cycles do not
+    add up to ε, or a decomposition finds the girth cycles and ε not as
+    its signature says."""
 
 
 # --- schemes / maps ---

@@ -1,4 +1,5 @@
-"""Girth, per-edge girth-cycle counts, signatures and distance partitions.
+"""Girth, per-edge girth-cycle counts, signatures, girth cycles and
+distance partitions.
 
 The report counts the girth cycles through every edge by one BFS of radius
 d = ⌊g/2⌋ per root r, n BFS in all. Each vertex reached is labelled with
@@ -6,22 +7,24 @@ its branch, the edge at r its unique short path leaves by. A girth cycle
 through r is an edge joining two depth-d vertices of different branches
 (g = 2d+1) or two parents of one depth-d vertex (g = 2d), and adds 1 to
 both branches; any other edge off the BFS tree closes a shorter cycle. The
-counts of an edge from its two ends must agree. ε of one edge and the cycle
-listing walk per edge from each far witness (`_far`) down the balls (`_ball`)
-around both ends; the distance partitions intersect those balls.
+counts of an edge from its two ends must agree. Each graph keeps its
+report, and ε of one edge is read from it. The girth cycles are listed by
+a second rooted pass, each once at its least vertex, and must add up to
+the report's ε. The distance partitions intersect the balls (`_ball`)
+around both ends of an edge.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping
 
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
-from .multigraph import Arc, Edge, MultiGraph
+from .multigraph import Arc, MultiGraph
 
 Ball = dict[int, int]
-Witness = tuple[int, int | None, int]  # (x, far edge or None, y)
 
 
 def _ball(g: MultiGraph, src: int, d: int) -> Ball:
@@ -130,37 +133,6 @@ def _require_finite(g: MultiGraph) -> int:
 
 # --- per-edge counts ---
 
-def _far(g: MultiGraph, gir: int, e: Edge) -> tuple[list[Witness], Ball, Ball]:
-    """The far witnesses of the edge e = uv, with the balls of radius
-    d = gir // 2 around u and v.
-
-    Odd girth: each vertex x at distance d from both ends, as (x, None, x).
-    Even girth: each edge f = xy other than e with x in D^{d-1}_d and y in
-    D^d_{d-1}, as (x, f, y). A loop (girth 1) is its own far vertex; at
-    girth 2 the far edges are the parallels of e.
-    """
-    u, v = e.ends[0], e.ends[-1]
-    d = gir // 2
-    bu, bv = _ball(g, u, d), _ball(g, v, d)
-    far: list[Witness] = []
-    if gir % 2:
-        for x, dx in bu.items():
-            if dx == d and bv.get(x) == d:
-                far.append((x, None, x))
-    else:
-        for x, dx in bu.items():
-            if dx == d - 1 and bv.get(x) == d:
-                for y, fid in g.neighbors(x):
-                    if fid != e.id and bu.get(y) == d and bv.get(y) == d - 1:
-                        far.append((x, fid, y))
-    return far, bu, bv
-
-
-def epsilon(g: MultiGraph, eid: int) -> int:
-    """Number of girth cycles containing the edge (cycles as edge sets)."""
-    return len(_far(g, _require_finite(g), g.edge(eid))[0])
-
-
 def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
     """ε of every edge, in edge-id order, by one BFS per root (see the module docstring)."""
     if gir <= 2:  # a loop is its own cycle; a parallel pair is one
@@ -223,10 +195,14 @@ def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class GirthReport:
+    """The girth, the girth-cycle count, ε of every edge, each vertex's
+    signature and the common signature (None unless girth-regular). The
+    mappings are read-only: the graph keeps its report for later calls."""
+
     girth: int
     cycle_count: int
-    epsilon: dict[int, int]
-    signatures: dict[int, tuple[int, ...]]
+    epsilon: Mapping[int, int]
+    signatures: Mapping[int, tuple[int, ...]]
     regular: tuple[int, ...] | None
 
     def to_json(self) -> dict[str, Any]:
@@ -240,82 +216,100 @@ class GirthReport:
 
 
 def girth_report(g: MultiGraph) -> GirthReport:
-    gir = _require_finite(g)
-    eps = _rooted_epsilon(g, gir)
-    total = sum(eps.values())
-    if total % gir:
-        raise GirthInvariantViolation(
-            f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
-        )
-    signatures: dict[int, tuple[int, ...]] = {}
-    for v, nbrs in enumerate(map(g.neighbors, range(g.n))):
-        incident = [eps[eid] for _, eid in nbrs]
-        if g.has_loops:
-            incident += [eps[eid] for w, eid in nbrs if w == v]  # a loop counts twice
-        signatures[v] = tuple(sorted(incident))
-    values = set(signatures.values())
-    regular = values.pop() if len(values) == 1 and g.n > 0 else None
-    return GirthReport(gir, total // gir, eps, signatures, regular)
-
-
-# --- girth-cycle listing (partition-guided) ---
-
-def _path_down(g: MultiGraph, ball: Ball, x: int) -> list[tuple[int, int, int]]:
-    """The steps (vertex, edge id, next vertex) of the shortest path from x
-    down to the centre of `ball`. Below the girth radius it is unique: a
-    second neighbour one step nearer would close a cycle shorter than the girth."""
-    path = []
-    for dx in range(ball[x] - 1, -1, -1):
-        step = [(w, eid) for w, eid in g.neighbors(x) if ball.get(w) == dx]
-        if len(step) != 1:
+    """Built on the first call for each graph and kept on the graph."""
+    if g._report is None:
+        gir = _require_finite(g)
+        eps = _rooted_epsilon(g, gir)
+        total = sum(eps.values())
+        if total % gir:
             raise GirthInvariantViolation(
-                f"vertex {x} has {len(step)} neighbours one step nearer the centre"
-                " below the girth radius"
+                f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
             )
-        w, eid = step[0]
-        path.append((x, eid, w))
-        x = w
-    return path
+        signatures: dict[int, tuple[int, ...]] = {}
+        for v, nbrs in enumerate(map(g.neighbors, range(g.n))):
+            incident = [eps[eid] for _, eid in nbrs]
+            if g.has_loops:
+                incident += [eps[eid] for w, eid in nbrs if w == v]  # a loop counts twice
+            signatures[v] = tuple(sorted(incident))
+        values = set(signatures.values())
+        regular = values.pop() if len(values) == 1 and g.n > 0 else None
+        g._report = GirthReport(
+            gir, total // gir, MappingProxyType(eps), MappingProxyType(signatures), regular
+        )
+    return g._report
 
 
-def _list_cycles(g: MultiGraph, gir: int, eps: dict[int, int]) -> dict[frozenset[int], list[Arc]]:
-    """Each girth cycle, keyed by its edge ids, as its arcs in walk order:
-    from u across e = uv, up from v to y, across the far edge f = yx at even
-    girth, then down to u. An edge's far witnesses are walked only while ε
-    leaves a cycle through it unlisted; a listed cycle lowers the count of
-    each of its edges, and every count must end at zero."""
-    left = dict(eps)
-    cycles: dict[frozenset[int], list[Arc]] = {}
-    for e in g.edges:
-        if left[e.id] <= 0:
-            continue
-        far, bu, bv = _far(g, gir, e)
-        for x, fid, y in far:
-            up = [(w, eid, t) for t, eid, w in reversed(_path_down(g, bv, y))]
-            across = [] if fid is None else [(y, fid, x)]
-            walk = [(e.ends[0], e.id, e.ends[-1]), *up, *across, *_path_down(g, bu, x)]
-            cyc = frozenset(eid for _, eid, _ in walk)
-            if len(cyc) != gir:
-                raise GirthInvariantViolation(
-                    f"closed walk {sorted(cyc)} through edge {e.id} is not a girth cycle"
-                )
-            if cyc not in cycles:
-                # an edge's arc from its greater end has end 1; a loop's arc has end 0
-                cycles[cyc] = [Arc(t, eid, int(t > w)) for t, eid, w in walk]
-                for eid in cyc:
-                    left[eid] -= 1
-                if not left[e.id]:
-                    break
-    bad = sorted(eid for eid, c in left.items() if c)
+def epsilon(g: MultiGraph, eid: int) -> int:
+    """Number of girth cycles containing the edge (cycles as edge sets)."""
+    return girth_report(g).epsilon[g.edge(eid).id]
+
+
+# --- girth-cycle listing ---
+
+def _least_vertex_cycles(g: MultiGraph) -> list[list[Arc]]:
+    """Each girth cycle once, as its arcs in walk order from its least
+    vertex r, found by a BFS of radius d = ⌊g/2⌋ from r over the vertices
+    above r. At odd girth an edge x ≤ y joining two depth-d vertices closes
+    r..x y..r (at d = 0 a loop at r); at even girth two parents p, q of one
+    depth-d vertex w close r..p w q..r (at d = 1 two parallel edges). The
+    two tree paths leave r by different edges, or the report's count would
+    have met a shorter cycle. The cycles must add up to the report's ε."""
+    report = girth_report(g)
+    d, neighbors = report.girth // 2, g.neighbors
+    # depth i from root r is marked r·(d + 1) + i, so earlier roots' marks read as unseen
+    dist, parent = [-1] * g.n, [0] * g.n
+    up: list[int | None] = [None] * g.n  # the tree edge to the parent
+    walks: list[list[Arc]] = []
+
+    def walk(x: int, across: list[tuple[int, int, int]], y: int) -> list[Arc]:
+        """Up the tree from r to x, the steps `across` to y, down to r."""
+        rise, fall = [], []
+        while x != r:
+            rise.append((parent[x], up[x], x))
+            x = parent[x]
+        while y != r:
+            fall.append((y, up[y], parent[y]))
+            y = parent[y]
+        # an edge's arc from its greater end has end 1; a loop's arc has end 0
+        return [Arc(t, eid, int(t > w)) for t, eid, w in [*reversed(rise), *across, *fall]]
+
+    for r in range(g.n):
+        base, far = r * (d + 1), r * (d + 1) + d
+        dist[r], up[r], layer = base, None, [r]
+        more: dict[int, list[tuple[int, int]]] = {}  # depth-d vertices' other parents
+        for at in range(base + 1, far + 1):
+            nxt = []
+            for v in layer:
+                tree = up[v]
+                for w, eid in neighbors(v):
+                    if w < r or eid == tree:
+                        continue
+                    if dist[w] < base:
+                        dist[w], up[w], parent[w] = at, eid, v
+                        nxt.append(w)
+                    elif dist[w] == far:
+                        more.setdefault(w, []).append((v, eid))
+            layer = nxt
+        if report.girth % 2:
+            for x in layer:
+                for y, eid in neighbors(x):
+                    if y >= x and dist[y] == far:
+                        walks.append(walk(x, [(x, eid, y)], y))
+        for w, others in more.items():
+            ps = [(parent[w], up[w]), *others]
+            for i, (p, e) in enumerate(ps):
+                for q, f in ps[i + 1:]:
+                    walks.append(walk(p, [(p, e, w), (w, f, q)], q))
+    listed = Counter(a.edge for arcs in walks for a in arcs)
+    bad = sorted(eid for eid, c in report.epsilon.items() if listed[eid] != c)
     if bad:
         raise GirthInvariantViolation(f"ε is not the girth-cycle count of edges {bad}")
-    return cycles
+    return walks
 
 
 def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """All girth cycles, each as its set of edge ids, listed against ε."""
-    gir = _require_finite(g)
-    return sorted(_list_cycles(g, gir, _rooted_epsilon(g, gir)), key=sorted)
+    return sorted((frozenset(a.edge for a in walk) for walk in _least_vertex_cycles(g)), key=sorted)
 
 
 # --- direct path-count of cycles through an edge or a 2-path ---
@@ -514,7 +508,7 @@ class TwoPathCounts:
 
 
 def two_path_counts(g: MultiGraph, v: int) -> TwoPathCounts:
-    if g.degree(v) != 3 or any(w == v for w, _ in g.neighbors(v)):
+    if not 0 <= v < g.n or g.degree(v) != 3 or any(w == v for w, _ in g.neighbors(v)):
         raise NotCubicVertex(f"vertex {v} is not a loop-free valence-3 vertex")
     gir = _require_finite(g)
     (e1, a1), (e2, a2), (e3, a3) = sorted((eid, w) for w, eid in g.neighbors(v))

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from . import families
 from .errors import Disconnected, GirthLabError, InfiniteGirth, PreconditionViolation, SizeCapExceeded
-from .girth import GirthReport, girth_report
+from .girth import girth_report
 from .isomorphism import DEFAULT_ISO_CAP, find_isomorphism
 from .maps import decompose_112, map_from_222
 from .multigraph import MultiGraph
@@ -111,19 +111,14 @@ def _ladder_labels(g: MultiGraph, coloring: dict[str, list[int]], prism: bool) -
     return labels
 
 
-def classify_g5(
-    g: MultiGraph,
-    report: GirthReport | None = None,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> Classification:
+def classify_g5(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> Classification:
     """Place a connected cubic girth-regular graph of girth <= 5 into its
     classification case. A prism or Möbius ladder is confirmed by checking
     the labelling its X-cycles and Y-rungs give it, a fixed named model by
     an isomorphism search."""
     if not g.is_simple or not g.is_connected() or g.is_regular() != 3:
         raise PreconditionViolation("classifier needs a simple connected cubic graph")
-    if report is None:
-        report = girth_report(g)
+    report = girth_report(g)
     sig = report.regular
     if sig is None:
         raise PreconditionViolation("graph is not girth-regular")
@@ -142,7 +137,7 @@ def classify_g5(
         return Classification(case, detail, witness, model)
 
     if sig == (0, 1, 1):
-        lam, scheme = decompose_011(g, report)
+        lam, scheme = decompose_011(g)
         return Classification(TRUNC011, {"girth": gir, "baseVertices": lam.n}, (lam, scheme))
     if gir == 3 and sig == (2, 2, 2):
         return confirmed(K4, families.complete(4), {})
@@ -153,7 +148,7 @@ def classify_g5(
             return confirmed(Q3, families.cube_q3(), {})
         if sig == (1, 1, 2):
             n = g.n // 2
-            split = decompose_112(g, report)
+            split = decompose_112(g)
             comps = split[0].skeleton.n  # the X-cycles
             if comps in (1, 2):
                 family, model = ("prism", families.prism(n)) if comps == 2 else ("mobius", families.mobius(n))
@@ -185,11 +180,7 @@ _EXTREMAL_EVEN: dict[int, tuple[str, Callable[[], MultiGraph]]] = {
 }
 
 
-def check_all_laws(
-    g: MultiGraph,
-    report: GirthReport | None = None,
-    iso_cap: int = DEFAULT_ISO_CAP,
-) -> list[LawResult]:
+def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawResult]:
     """Evaluate every law with its own applicability gate. Each per-graph
     quantity is computed once and shared between the laws: the report,
     the classification with the decomposition it rests on, and the
@@ -197,8 +188,7 @@ def check_all_laws(
     map that the decomposition built, edge by edge."""
     if not g.is_connected():
         raise Disconnected("laws are stated for connected graphs")
-    if report is None:
-        report = girth_report(g)
+    report = girth_report(g)
     gir = report.girth
     d = gir // 2
     k = g.is_regular()
@@ -210,7 +200,7 @@ def check_all_laws(
     classified: Classification | GirthLabError | None = None
     if cubic_gr and gir <= 5:
         try:
-            classified = classify_g5(g, report, iso_cap=iso_cap)
+            classified = classify_g5(g, iso_cap=iso_cap)
         except GirthLabError as exc:
             classified = exc
     verdicts: dict[MultiGraph, bool | None] = {}
@@ -226,13 +216,13 @@ def check_all_laws(
                 verdicts[model] = None
         return verdicts[model]
 
-    def decomposition(decompose: Callable[[MultiGraph, GirthReport], Any]) -> Any:
+    def decomposition(decompose: Callable[[MultiGraph], Any]) -> Any:
         """The decomposition classify_g5 built, else a new one."""
         if isinstance(classified, Classification) and classified.witness is not None:
             return classified.witness
         if isinstance(classified, GirthLabError):
             raise classified
-        return decompose(g, report)
+        return decompose(g)
 
     # thm1: extremal bound on the per-edge counts
     if k is not None:
@@ -320,7 +310,7 @@ def check_all_laws(
     # thm3.9: (2,2,2) graphs are skeletons of {g,3}-maps
     if cubic_gr and sig == (2, 2, 2):
         try:
-            m = map_from_222(g, report)
+            m = map_from_222(g)
             chi = m.euler_characteristic
             ok = (3 * g.n) % gir == 0 and chi == g.n - (3 * g.n) // 2 + (3 * g.n) // gir and chi <= 2
             wit = {"chi": chi, "faces": len(m.faces)}
@@ -453,7 +443,7 @@ def census(
         try:
             report = girth_report(item)
             key: tuple = (report.girth, report.regular)
-            laws = check_all_laws(item, report, iso_cap=iso_cap)
+            laws = check_all_laws(item, iso_cap=iso_cap)
         except InfiniteGirth:
             key = (None, None)
         except Disconnected:

@@ -22,7 +22,7 @@ from .errors import (
     OddGirth,
     WrongSignature,
 )
-from .girth import GirthReport, _list_cycles, girth_report
+from .girth import GirthReport, _least_vertex_cycles, girth_report
 from .multigraph import Arc, MultiGraph
 from .schemes import DihedralScheme, TruncationResult, contract_cycles, least_rotation, truncate
 
@@ -160,42 +160,34 @@ def truncate_map(m: MapComplex) -> TruncationResult:
     return truncate(m.scheme_induced)
 
 
-def _regular_girth_report(
-    g: MultiGraph, want: tuple[int, ...], report: GirthReport | None
-) -> GirthReport:
+def _regular_girth_report(g: MultiGraph, want: tuple[int, ...]) -> GirthReport:
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
     if not g.is_connected():
         raise Disconnected("decomposition needs a connected graph")
-    if report is None:
-        report = girth_report(g)
+    report = girth_report(g)
     if report.regular != want:
         raise WrongSignature(f"signature {report.regular} != {want}")
     return report
 
 
-def map_from_222(g: MultiGraph, report: GirthReport | None = None) -> MapComplex:
+def map_from_222(g: MultiGraph) -> MapComplex:
     """A girth-regular (2,2,2) cubic graph is the skeleton of the map whose
     faces are its girth cycles; the Euler characteristic satisfies
     chi = n(3/g - 1/2) as an exact integer identity, since the 3n/g faces
-    of length g cover each of the 3n/2 edges twice. Pass the girth report
-    when already known to skip recomputing it."""
-    report = _regular_girth_report(g, (2, 2, 2), report)
-    cycles = _list_cycles(g, report.girth, report.epsilon)
-    return build_map(g, [ClosedWalk.from_arcs(g, arcs) for arcs in cycles.values()])
+    of length g cover each of the 3n/2 edges twice."""
+    _regular_girth_report(g, (2, 2, 2))
+    return build_map(g, [ClosedWalk.from_arcs(g, arcs) for arcs in _least_vertex_cycles(g)])
 
 
-def decompose_112(
-    g: MultiGraph, report: GirthReport | None = None
-) -> tuple[MapComplex, dict[str, list[int]]]:
+def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
     """Invert the map truncation of a girth-regular (1,1,2) graph.
 
     The witness splits the edges into X (on exactly one girth cycle) and
     Y (on two); Y is a perfect matching, the X-cycles become the map's
     vertices and each girth cycle contracts to a face walk of length g/2.
-    Pass the girth report when already known to skip recomputing it.
     """
-    report = _regular_girth_report(g, (1, 1, 2), report)
+    report = _regular_girth_report(g, (1, 1, 2))
     if report.girth % 2:
         raise OddGirth(f"(1,1,2) graph reported odd girth {report.girth}")
     x_edges = sorted(eid for eid, c in report.epsilon.items() if c == 1)
@@ -211,10 +203,11 @@ def decompose_112(
 
     # each girth cycle alternates X and Y; its g/2 Y-edges walk a face
     walks = []
-    for cyc, arcs in _list_cycles(g, report.girth, report.epsilon).items():
+    for arcs in _least_vertex_cycles(g):
         on_y = [a.edge in y_set for a in arcs]
         if any(on_y[i] == on_y[i - 1] for i in range(len(arcs))):
-            raise GirthInvariantViolation(f"girth cycle {sorted(cyc)} does not alternate between X and Y")
+            cyc = sorted(a.edge for a in arcs)
+            raise GirthInvariantViolation(f"girth cycle {cyc} does not alternate between X and Y")
         walks.append(ClosedWalk.from_arcs(lam, [arc_of[a.tail] for a, y in zip(arcs, on_y) if y]))
 
     m = build_map(lam, walks)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DanglingEndpoint, NotAnArc, SchemaViolation
+from .errors import DanglingEndpoint, NotAnArc, NotAnEdge, SchemaViolation
 
 
 class Edge(NamedTuple):
@@ -47,12 +47,13 @@ class ArcTable(NamedTuple):
 
 class MultiGraph:
     """Immutable multigraph; construct once, read from anywhere. The arc
-    table, whether any edges are parallel and the girth (`girth.girth`)
-    are found on the first query and only read after that."""
+    table, whether any edges are parallel, the girth (`girth.girth`) and
+    the girth report (`girth.girth_report`) are found on the first query
+    and only read after that."""
 
     __slots__ = (
         "_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache", "_has_loops", "_parallel",
-        "_girth",
+        "_girth", "_report",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):
@@ -103,6 +104,7 @@ class MultiGraph:
         self._has_loops = bool(loops)
         self._parallel: bool | None = None
         self._girth: int | None = 0  # 0 until girth() runs; None for a forest
+        self._report = None  # the GirthReport, once girth_report() runs
 
     # --- basic accessors ---
 
@@ -119,6 +121,9 @@ class MultiGraph:
         return len(self._edges)
 
     def edge(self, eid: int) -> Edge:
+        """The edge with this id; NotAnEdge if the graph has none."""
+        if eid not in self._by_id:
+            raise NotAnEdge(f"no edge has id {eid}")
         return self._by_id[eid]
 
     def degree(self, v: int) -> int:

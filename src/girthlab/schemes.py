@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TypeVar
 
 from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
-from .girth import GirthReport, _list_cycles, girth_report
+from .girth import _least_vertex_cycles, girth_report
 from .multigraph import Arc, MultiGraph
 
 
@@ -151,27 +151,23 @@ def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list
     return lam, arc_of
 
 
-def decompose_011(
-    g: MultiGraph, report: GirthReport | None = None
-) -> tuple[MultiGraph, DihedralScheme]:
+def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
     """Invert the truncation of a girth-regular (0,1,1) graph.
 
     The base has one vertex per girth cycle and one edge per edge lying on
     no girth cycle; rotations follow consecutive attachment points along
     each girth cycle, as `contract_cycles` numbers them. Λ keeps the
     original edge ids of the matching edges.
-    Pass the girth report when already known to skip recomputing it.
     """
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
-    if report is None:
-        report = girth_report(g)
+    report = girth_report(g)
     if report.regular is None:
         raise NotGirthRegular("vertex signatures differ")
     if report.regular != (0, 1, 1):
         raise WrongSignature(f"signature {report.regular} != (0, 1, 1)")
 
-    walks = list(_list_cycles(g, report.girth, report.epsilon).values())
+    walks = _least_vertex_cycles(g)
     matching = {e.id for e in g.edges if report.epsilon[e.id] == 0}
     covered = {v for eid in matching for v in g.edge(eid).ends}
     if not 2 * len(matching) == len(covered) == g.n:

@@ -87,7 +87,7 @@ def test_criterion_4_classification_exhaustive(whole_corpus):
         if not (g.is_simple and g.is_connected() and g.is_regular() == 3):
             continue
         qualifying += 1
-        c = classify_g5(g, rep)
+        c = classify_g5(g)
         assert c.case != OUTSIDE, (gid, rep.girth, rep.regular)
         model = canonical_graph(c)
         ok, _ = are_isomorphic(model, g)

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import importlib
 import random
 import time
+from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from girthlab.girth import (
-    _far,
-    _list_cycles,
+    _least_vertex_cycles,
     _rooted_epsilon,
     check_partition_facts,
     distance_partition,
@@ -127,17 +129,27 @@ def _random_graphs() -> list[MultiGraph]:
 RANDOM_GRAPHS = _random_graphs()
 
 
-def _far_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
-    """ε of every edge counted on its own, by its far witnesses."""
-    return {e.id: len(_far(g, gir, e)[0]) for e in g.edges}
+def _fresh(g: MultiGraph) -> MultiGraph:
+    """An equal graph that keeps no girth or report yet; some named
+    families return one shared graph."""
+    return MultiGraph(g.n, [(e.id, e.ends) for e in g.edges])
+
+
+def _assert_closed_walks(g: MultiGraph, walks: list, gir: int) -> None:
+    """Each listed cycle is a closed walk in walk order: every arc's head is
+    the next arc's tail, and its gir arcs lie on gir distinct edges."""
+    for arcs in walks:
+        order = [a.tail for a in arcs]
+        assert [g.arc_head(a) for a in arcs] == order[1:] + order[:1]
+        assert len({a.edge for a in arcs}) == len(arcs) == gir
 
 
 def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
     """girth, report, cycles, ε and the distance-partition cells of every
-    edge, each against its brute-force oracle; the report's ε also against
-    the per-edge count. `edges` may cap the edges that `epsilon` and
-    `distance_partition` are asked about: the graph keeps its girth, so each
-    costs a few balls, but the oracle's cells cost far more per edge."""
+    edge, each against its brute-force oracle; the listed cycles are closed
+    walks, and their count on each edge is ε again. `edges` may cap the
+    edges that `epsilon` and `distance_partition` are asked about: the
+    oracle's cells cost far more per edge than the library's."""
     gir = naive_girth(g)
     assert girth(g) == gir
     if gir is None:
@@ -146,8 +158,11 @@ def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
     cycles = naive_girth_cycles(g)
     rep = girth_report(g)
     assert rep.girth == gir and rep.cycle_count == len(cycles)
-    assert rep.epsilon == eps == _far_epsilon(g, gir)
+    assert rep.epsilon == eps
     assert rep.signatures == naive_signatures(g)
+    walks = _least_vertex_cycles(g)
+    _assert_closed_walks(g, walks, gir)
+    assert Counter(a.edge for arcs in walks for a in arcs) == Counter(eps)
     listed = girth_cycles(g)
     assert len(listed) == len(cycles) and set(listed) == cycles
     for e in g.edges[:edges]:
@@ -440,26 +455,28 @@ def test_path_counts_match_oracle_on_random_graphs():
 
 
 @pytest.mark.parametrize(
-    ("g", "wrong_girth", "run", "message"),
-    [
-        (families.prism(5), 6, girth_report, "cycle-count conservation"),
-        (families.cube_q3(), 6, girth_cycles, "neighbours one step nearer"),
-        (families.dodecahedron(), 7, girth_cycles, "not a girth cycle"),
-    ],
+    ("g", "wrong_girth"),
+    [(families.prism(5), 6), (families.cube_q3(), 6), (families.dodecahedron(), 7)],
 )
-def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth, run, message):
+def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth):
     # a wrong girth breaks the partition facts the counts rest on; the
     # checks are raises, so they also hold under python -O. The rooted
-    # count meets a shorter cycle first; handed the per-edge count instead,
-    # conservation and the listing find the fault by their own checks.
+    # count meets a shorter cycle first, also for the listing, which reads
+    # the report; an ε that is not whole cycles fails conservation.
     mod = importlib.import_module("girthlab.girth")
+    g, real_girth, real_count = _fresh(g), mod.girth, mod._rooted_epsilon
     monkeypatch.setattr(mod, "girth", lambda _g: wrong_girth)
-    with pytest.raises(GirthInvariantViolation, match="shorter than the girth"):
-        run(g)
-    far = _far_epsilon(g, wrong_girth)
-    monkeypatch.setattr(mod, "_rooted_epsilon", lambda _g, _gir: far)
-    with pytest.raises(GirthInvariantViolation, match=message):
-        _list_cycles(g, wrong_girth, far) if run is girth_cycles else run(g)
+    for run in (girth_report, girth_cycles):
+        with pytest.raises(GirthInvariantViolation, match="shorter than the girth"):
+            run(g)
+    monkeypatch.setattr(mod, "girth", real_girth)
+    one_more = g.edges[0].id
+    monkeypatch.setattr(
+        mod, "_rooted_epsilon",
+        lambda _g, gir: {eid: c + (eid == one_more) for eid, c in real_count(_g, gir).items()},
+    )
+    with pytest.raises(GirthInvariantViolation, match="cycle-count conservation"):
+        girth_report(g)
 
 
 @pytest.mark.parametrize(
@@ -553,6 +570,9 @@ def test_two_path_counts_rejects_non_cubic_vertices():
         two_path_counts(families.cycle(5), 0)
     with pytest.raises(NotCubicVertex):
         two_path_counts(from_edge_list(2, [(0, 0), (0, 1)]), 0)
+    for v in (99, -1):  # no vertex of the graph
+        with pytest.raises(NotCubicVertex):
+            two_path_counts(families.petersen(), v)
 
 
 def test_distance_partition_petersen():
@@ -584,6 +604,9 @@ def test_distance_partition_k33_cross_edges():
 def test_distance_partition_requires_an_edge():
     with pytest.raises(NotAnEdge):
         distance_partition(families.petersen(), 0, 2)
+    for count in (epsilon, epsilon_by_paths):
+        with pytest.raises(NotAnEdge):
+            count(families.petersen(), 999)
 
 
 def test_distance_partition_2path():
@@ -620,57 +643,72 @@ def test_partition_facts_cycle_degenerate():
 
 
 def test_cycle_vertex_order_orientation():
-    # each listed cycle is a closed walk: every arc's head is the next
-    # arc's tail, and its arcs cover the cycle's edges once
+    # each girth cycle is listed once, as a closed walk in walk order
     for g in (families.complete(4), families.petersen(), families.heawood(), THETA, TWO_LOOPS):
         rep = girth_report(g)
-        cycles = _list_cycles(g, rep.girth, rep.epsilon)
-        assert len(cycles) == rep.cycle_count
-        for cyc, arcs in cycles.items():
-            order = [a.tail for a in arcs]
-            assert [g.arc_head(a) for a in arcs] == order[1:] + order[:1]
-            assert {a.edge for a in arcs} == cyc and len(arcs) == rep.girth
+        walks = _least_vertex_cycles(g)
+        assert len(walks) == rep.cycle_count
+        assert len({frozenset(a.edge for a in arcs) for arcs in walks}) == len(walks)
+        _assert_closed_walks(g, walks, rep.girth)
 
 
 def test_decompositions_list_each_girth_cycle_once(monkeypatch):
-    # given its report, a decomposition walks the far witnesses of at most
-    # one edge per girth cycle and never searches for the girth
+    # a decomposition runs one listing pass, and no girth search or rooted
+    # count when the graph keeps its report; a new graph gets one of each
     mod = importlib.import_module("girthlab.girth")
-    calls = {"_far": 0, "girth": 0}
+    calls = {"_least_vertex_cycles": [], "_rooted_epsilon": [], "girth": []}
 
     def spy(name):
         real = getattr(mod, name)
 
         def counted(*args):
-            calls[name] += 1
-            return real(*args)
+            result = real(*args)
+            calls[name].append(result)
+            return result
 
-        monkeypatch.setattr(mod, name, counted)
+        # each module that imported the name calls its own binding
+        for module in (mod, importlib.import_module("girthlab.maps"), importlib.import_module("girthlab.schemes")):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
 
-    spy("_far")
-    spy("girth")
+    for name in calls:
+        spy(name)
     for g, decompose in (
         (TRUNC_K4, decompose_011),
         (families.prism(8), decompose_112),
         (families.dodecahedron(), map_from_222),
     ):
         rep = girth_report(g)
-        calls.update(_far=0, girth=0)
-        decompose(g, report=rep)
-        assert calls["girth"] == 0 and 0 < calls["_far"] <= rep.cycle_count, calls
-        calls.update(_far=0, girth=0)
-        decompose(g)
-        assert calls["girth"] == 1, calls
+        for fresh in (False, True):
+            if fresh:
+                g = _fresh(g)
+            for found in calls.values():
+                found.clear()
+            decompose(g)
+            assert [len(calls[name]) for name in calls] == [1, int(fresh), int(fresh)], calls
+            assert len(calls["_least_vertex_cycles"][0]) == rep.cycle_count
 
 
 @pytest.mark.parametrize("delta", [1, -1])
 @pytest.mark.parametrize("g", [families.complete(4), families.prism(6), TRUNC_3PRISM, THETA])
-def test_listing_checks_epsilon_tally(g, delta):
+def test_listing_checks_epsilon_tally(monkeypatch, g, delta):
     rep = girth_report(g)
     for eid, count in rep.epsilon.items():
-        forged = {**rep.epsilon, eid: count + delta}
+        forged = MappingProxyType({**rep.epsilon, eid: count + delta})
+        monkeypatch.setattr(g, "_report", dataclasses.replace(rep, epsilon=forged))
         with pytest.raises(GirthInvariantViolation, match="girth-cycle count of edges"):
-            _list_cycles(g, rep.girth, forged)
+            girth_cycles(g)
+
+
+def test_the_kept_report_is_read_only():
+    g = families.petersen()
+    rep = girth_report(g)
+    assert girth_report(g) is rep
+    with pytest.raises(TypeError):
+        rep.epsilon[0] = 0
+    with pytest.raises(TypeError):
+        rep.signatures[0] = (0, 0, 0)
+    assert epsilon(g, 0) == 4 and girth_cycles(g) == girth_cycles(families.petersen())
 
 
 def test_report_json_shape():

@@ -166,9 +166,9 @@ def test_a_wrong_rotation_violates_thm36(monkeypatch):
     results = check_all_laws(tr)
     assert law(results, "thm3.6").holds is True
 
-    def permuted(g, report=None):
+    def permuted(g):
         # swap two arcs of the rotation at base vertex 0, of valence 4
-        lam, scheme = decompose_011(g, report)
+        lam, scheme = decompose_011(g)
         a, b, c, d = scheme.rotation(0)
         rotations = [(a, c, b, d)] + [scheme.rotation(v) for v in range(1, lam.n)]
         return lam, DihedralScheme.from_rotations(lam, rotations)
@@ -222,16 +222,16 @@ def _spy(monkeypatch, module: str, name: str) -> list[tuple]:
 
 
 def test_check_all_laws_computes_each_quantity_once(monkeypatch):
-    girths = _spy(monkeypatch, "girth", "girth")
+    counts = _spy(monkeypatch, "girth", "_rooted_epsilon")
     decompositions = _spy(monkeypatch, "schemes", "decompose_011")
     isomorphisms = _spy(monkeypatch, "isomorphism", "find_isomorphism")
     seen_011 = 0
     for gid, g in itertools.islice(corpus.iter_corpus(corpus.CUBIC_LE14), 200):
-        gir = girth_report(g).girth
-        for calls in (girths, decompositions, isomorphisms):
+        for calls in (counts, decompositions, isomorphisms):
             calls.clear()
+        gir = girth_report(g).girth
         check_all_laws(g)
-        assert len(girths) == 1, gid
+        assert [args[0] for args in counts] == [g], gid  # one rooted count, kept on g
         assert len(decompositions) <= 1, gid
         seen_011 += len(decompositions)
         models = [args[1] for args in isomorphisms]

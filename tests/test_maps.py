@@ -10,19 +10,14 @@ import pytest
 import girthlab
 from girthlab import families
 from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
-from girthlab.girth import _list_cycles, girth_report
+from girthlab.girth import _least_vertex_cycles, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 
 
-def girth_cycle_arcs(g):
-    rep = girth_report(g)
-    return _list_cycles(g, rep.girth, rep.epsilon)
-
-
 def walks_of_girth_cycles(g):
-    return [ClosedWalk.from_arcs(g, arcs) for arcs in girth_cycle_arcs(g).values()]
+    return [ClosedWalk.from_arcs(g, arcs) for arcs in _least_vertex_cycles(g)]
 
 
 def test_build_map_tetrahedron():
@@ -208,8 +203,10 @@ def test_decompose_112_alternation_along_girth_cycles():
     g = families.prism(6)
     _, witness = decompose_112(g)
     y = set(witness["Y"])
-    for cyc, arcs in girth_cycle_arcs(g).items():
-        assert {a.edge for a in arcs} == cyc
+    walks = _least_vertex_cycles(g)
+    assert len(walks) == girth_report(g).cycle_count
+    for arcs in walks:
+        assert len({a.edge for a in arcs}) == len(arcs) == 4
         assert all(g.arc_head(a) == b.tail for a, b in zip(arcs, arcs[1:] + arcs[:1]))
         kinds = [a.edge in y for a in arcs]
         assert all(kinds[i] != kinds[(i + 1) % len(kinds)] for i in range(len(kinds)))
@@ -238,15 +235,30 @@ def test_map_json_shape():
     assert all({"edge", "tail", "end"} == set(ref) for face in doc["faces"] for ref in face)
 
 
-# a report whose ε contradicts the graph: one girth-cycle edge counted on
-# none (0,1,1), or one edge on two girth cycles counted on one (1,1,2)
+# a kept report whose ε contradicts the graph: one girth-cycle edge
+# counted on none (0,1,1), one edge on two girth cycles counted on one
+# (1,1,2), or each girth cycle in turn dropped from ε as a whole, which
+# leaves every count a whole number of cycles
 FORGED_REPORT_CHECK = """
 import dataclasses
+from types import MappingProxyType
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation
-from girthlab.girth import girth_report
+from girthlab.girth import girth_cycles, girth_report
 from girthlab.maps import decompose_112
+from girthlab.multigraph import MultiGraph
 from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
+
+def forge(g, rep, **fields):
+    g._report = dataclasses.replace(rep, **fields)
+
+def rejects(run, g):
+    try:
+        run(g)
+    except GirthInvariantViolation as exc:
+        print(type(exc).__name__, exc)
+    else:
+        raise SystemExit(run.__name__ + " accepted a forged report")
 
 for g, decompose, flip in (
     (truncate(unique_cubic_scheme(families.prism(3))).graph, decompose_011, {1: 0}),
@@ -254,13 +266,16 @@ for g, decompose, flip in (
 ):
     rep = girth_report(g)
     eid = next(e for e, c in rep.epsilon.items() if c in flip)
-    forged = dataclasses.replace(rep, epsilon={**rep.epsilon, eid: flip[rep.epsilon[eid]]})
-    try:
-        decompose(g, forged)
-    except GirthInvariantViolation as exc:
-        print(type(exc).__name__, exc)
-    else:
-        raise SystemExit(decompose.__name__ + " accepted a forged report")
+    forge(g, rep, epsilon=MappingProxyType({**rep.epsilon, eid: flip[rep.epsilon[eid]]}))
+    rejects(decompose, g)
+
+two_loops = MultiGraph(1, [(0, (0,)), (1, (0,))])
+for g in (families.complete(4), families.petersen(), families.prism(6), two_loops):
+    rep = girth_report(g)
+    for cycle in girth_cycles(g):
+        eps = {e: c - (e in cycle) for e, c in rep.epsilon.items()}
+        forge(g, rep, epsilon=MappingProxyType(eps), cycle_count=rep.cycle_count - 1)
+        rejects(girth_cycles, g)
 """
 
 
@@ -272,4 +287,5 @@ def test_decompositions_reject_a_forged_report(flags):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.count("GirthInvariantViolation") == 2, done.stdout
+    # 2 decompositions, then 4 + 12 + 6 + 2 girth cycles dropped in turn
+    assert done.stdout.count("GirthInvariantViolation") == 2 + 24, done.stdout

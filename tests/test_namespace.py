@@ -4,6 +4,7 @@ module defines."""
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -46,3 +47,21 @@ print(girth is sys.modules["girthlab.girth"].girth, truncate.__module__)
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["True", "girthlab.schemes"]
+
+
+def test_the_package_imports_only_the_standard_library():
+    # relative imports are the package's own modules; every other import,
+    # also one inside a function, must name a standard-library module
+    imported, outside = [], []
+    for path in sorted(Path(girthlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            imported += names
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert len(imported) > 20 and outside == []
