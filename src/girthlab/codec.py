@@ -208,6 +208,11 @@ def _check(cond: bool, msg: str) -> None:
         raise SchemaViolation(msg)
 
 
+def _is_int(x: Any) -> bool:
+    """A JSON integer: true and false decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_multigraph_json(doc: dict[str, Any] | str) -> MultiGraph:
     """Decode the JSON multigraph document (any attached scheme is
     validated and discarded; use read_multigraph_json_full to keep it)."""
@@ -227,7 +232,7 @@ def read_multigraph_json_full(
     _check(isinstance(doc, dict), "document must be a JSON object")
     _check("vertices" in doc and "edges" in doc, "missing 'vertices' or 'edges'")
     n = doc["vertices"]
-    _check(isinstance(n, int) and n >= 0, "'vertices' must be a nonnegative integer")
+    _check(_is_int(n) and n >= 0, "'vertices' must be a nonnegative integer")
     if n > cap:
         raise VertexCountOverflow(f"{n} vertices exceeds cap {cap}")
     raw_edges = doc["edges"]
@@ -236,12 +241,12 @@ def read_multigraph_json_full(
     for rec in raw_edges:
         _check(isinstance(rec, dict), "edge record must be an object")
         _check("id" in rec and "ends" in rec, "edge record needs 'id' and 'ends'")
-        _check(isinstance(rec["id"], int), "edge id must be an integer")
+        _check(_is_int(rec["id"]), "edge id must be an integer")
         ends = rec["ends"]
         _check(
             isinstance(ends, list)
             and len(ends) in (1, 2)
-            and all(isinstance(v, int) for v in ends),
+            and all(map(_is_int, ends)),
             f"edge {rec.get('id')}: 'ends' must hold 1 or 2 vertex ids",
         )
         edges.append((rec["id"], tuple(ends)))
@@ -260,7 +265,7 @@ def read_multigraph_json_full(
             for ref in cyc:
                 _check(
                     isinstance(ref, dict)
-                    and all(isinstance(ref.get(f), int) for f in ("edge", "tail", "end")),
+                    and all(_is_int(ref.get(f)) for f in ("edge", "tail", "end")),
                     "arc ref needs integer 'edge', 'tail', 'end'",
                 )
                 arcs.append(Arc(ref["tail"], ref["edge"], ref["end"]))

@@ -29,6 +29,10 @@ class DanglingEndpoint(GirthLabError):
     """An edge references a vertex that is not declared."""
 
 
+class NotAVertex(GirthLabError):
+    """The given vertex is not in the graph's range 0..n-1."""
+
+
 class NotAnArc(GirthLabError):
     """The given arc is not one of the graph's arcs."""
 

@@ -3,7 +3,9 @@
 Every law carries its own applicability gate so corpus sweeps never
 misreport out-of-scope graphs; a failing law on any input means an
 implementation defect, and the witness carries enough to recompute the
-violation independently.
+violation independently. `check_all_laws` (and so `verify`) reports the
+eleven laws in the one order that `LAWS` fixes, each law not applicable
+where its gate does not hold.
 """
 
 from __future__ import annotations
@@ -171,6 +173,12 @@ def canonical_graph(c: Classification) -> MultiGraph | None:
     return None if c.case == OUTSIDE else c.model
 
 
+# every law check_all_laws reports, in its report order
+LAWS = (
+    "thm1", "thm2", "thm3", "lem3.1", "lem3.2", "cor3.3", "lem3.4",
+    "thm3.6", "thm3.9", "thm3.11", "thm-main",
+)
+
 # the cubic generalised polygons by girth: thm2's witness name and model
 _EXTREMAL_EVEN: dict[int, tuple[str, Callable[[], MultiGraph]]] = {
     4: ("completeBipartite", lambda: families.complete_bipartite(3, 3)),
@@ -181,11 +189,13 @@ _EXTREMAL_EVEN: dict[int, tuple[str, Callable[[], MultiGraph]]] = {
 
 
 def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawResult]:
-    """Evaluate every law with its own applicability gate. Each per-graph
-    quantity is computed once and shared between the laws: the report,
-    the classification with the decomposition it rests on, and the
-    isomorphism to each named model. thm3.6 and thm3.11 check the vertex
-    map that the decomposition built, edge by edge."""
+    """Evaluate every law with its own applicability gate, and report one
+    result per id in LAWS, in that order; a law whose gate does not apply
+    is reported not applicable. Each per-graph quantity is computed once
+    and shared between the laws: the report, the classification with the
+    decomposition it rests on, and the isomorphism to each named model.
+    thm3.6 and thm3.11 check the vertex map that the decomposition built,
+    edge by edge."""
     if not g.is_connected():
         raise Disconnected("laws are stated for connected graphs")
     report = girth_report(g)
@@ -195,7 +205,7 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
     sig = report.regular
     girth_regular = sig is not None
     cubic_gr = girth_regular and k == 3 and g.is_simple
-    results: list[LawResult] = []
+    found: dict[str, tuple[bool | None, Any]] = {}  # (holds, witness) of each law that applies
 
     classified: Classification | GirthLabError | None = None
     if cubic_gr and gir <= 5:
@@ -227,9 +237,7 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
     # thm1: extremal bound on the per-edge counts
     if k is not None:
         bad = {e: c for e, c in report.epsilon.items() if c > (k - 1) ** d}
-        results.append(LawResult("thm1", True, not bad, bad or None))
-    else:
-        results.append(LawResult("thm1", False, None))
+        found["thm1"] = (not bad, bad or None)
 
     # thm2: even-girth equality case forces the incidence graphs; these are simple: girth >= 4
     if girth_regular and k is not None and gir >= 4 and gir % 2 == 0 and sig[-1] == (k - 1) ** d:
@@ -244,18 +252,14 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
                 name, model = _EXTREMAL_EVEN[gir]
                 ok = iso(model())
                 wit = {"model": name} if ok else wit
-        results.append(LawResult("thm2", True, ok, wit))
-    else:
-        results.append(LawResult("thm2", False, None))
+        found["thm2"] = (ok, wit)
 
     # thm3: odd-girth equality case forces K4 or Petersen; K4 has girth 3
     if cubic_gr and gir % 2 == 1 and sig[-1] == 2**d:
         ok = iso(families.complete(4)) if gir == 3 else False
         if ok is False:
             ok = iso(families.petersen())
-        results.append(LawResult("thm3", True, ok, {"signature": list(sig)}))
-    else:
-        results.append(LawResult("thm3", False, None))
+        found["thm3"] = (ok, {"signature": list(sig)})
 
     # lemma suite on the cubic signature (a, b, c)
     if cubic_gr:
@@ -263,38 +267,15 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
         even_ok = (a + b + c) % 2 == 0
         tri_ok = a + b >= c
         parity_ok = not (a >= 1 and c == a + b) or gir % 2 == 0
-        results.append(
-            LawResult(
-                "lem3.1",
-                True,
-                even_ok and tri_ok and parity_ok,
-                {"signature": list(sig), "girth": gir},
-            )
-        )
+        found["lem3.1"] = (even_ok and tri_ok and parity_ok, {"signature": list(sig), "girth": gir})
         if a == 0:
-            results.append(LawResult("lem3.2", True, (b, c) == (1, 1), {"signature": list(sig)}))
-        else:
-            results.append(LawResult("lem3.2", False, None))
+            found["lem3.2"] = ((b, c) == (1, 1), {"signature": list(sig)})
         if gir % 2 == 1:
-            results.append(LawResult("cor3.3", True, a != 1, {"signature": list(sig)}))
-        else:
-            results.append(LawResult("cor3.3", False, None))
+            found["cor3.3"] = (a != 1, {"signature": list(sig)})
         m = 2 ** (d - 1)
-        results.append(
-            LawResult(
-                "lem3.4",
-                True,
-                a >= c - m and b <= a - c + 2 * m,
-                {"signature": list(sig), "m": m},
-            )
-        )
-    else:
-        results.extend(
-            LawResult(law, False, None) for law in ("lem3.1", "lem3.2", "cor3.3", "lem3.4")
-        )
+        found["lem3.4"] = (a >= c - m and b <= a - c + 2 * m, {"signature": list(sig), "m": m})
 
     # thm3.6: (0,1,1) graphs are truncations of g-regular schemes
-    thm36 = LawResult("thm3.6", False, None)
     if cubic_gr and sig == (0, 1, 1):
         try:
             lam, scheme = decomposition(decompose_011)
@@ -304,8 +285,7 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
                 ok = _truncation_of(g, scheme)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
-        thm36 = LawResult("thm3.6", True, ok, wit)
-    results.append(thm36)
+        found["thm3.6"] = (ok, wit)
 
     # thm3.9: (2,2,2) graphs are skeletons of {g,3}-maps
     if cubic_gr and sig == (2, 2, 2):
@@ -316,9 +296,7 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
             wit = {"chi": chi, "faces": len(m.faces)}
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
-        results.append(LawResult("thm3.9", True, ok, wit))
-    else:
-        results.append(LawResult("thm3.9", False, None))
+        found["thm3.9"] = (ok, wit)
 
     # thm3.11: (1,1,2) graphs are truncations of maps with g/2-faces
     if cubic_gr and sig == (1, 1, 2):
@@ -337,23 +315,19 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
                     ok = _truncation_of(g, m.scheme_induced)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
-        results.append(LawResult("thm3.11", True, ok, wit))
-    else:
-        results.append(LawResult("thm3.11", False, None))
+        found["thm3.11"] = (ok, wit)
 
     # thm-main: the girth <= 5 classification; classify_g5 confirmed a
     # named case, and a Trunc011 case holds by thm3.6
     if isinstance(classified, Classification):
-        ok = thm36.holds if classified.case == TRUNC011 else classified.case != OUTSIDE
-        results.append(LawResult("thm-main", True, ok, classified.to_json()))
+        ok = found["thm3.6"][0] if classified.case == TRUNC011 else classified.case != OUTSIDE
+        found["thm-main"] = (ok, classified.to_json())
     elif classified is not None:
         # past the isomorphism cap the case is unverified, not refuted
         ok = None if isinstance(classified, SizeCapExceeded) else False
-        results.append(LawResult("thm-main", True, ok, {"error": str(classified)}))
-    else:
-        results.append(LawResult("thm-main", False, None))
+        found["thm-main"] = (ok, {"error": str(classified)})
 
-    return results
+    return [LawResult(law, law in found, *found.get(law, (None, None))) for law in LAWS]
 
 
 # --- census ---

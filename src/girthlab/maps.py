@@ -117,7 +117,6 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
             partners[s].append(b)
             partners[b].append(s)
     rotations = []
-    seen = bytearray(len(arcs))
     for v in range(g.n):
         first, stop = start[v], start[v + 1]
         if first == stop:
@@ -126,24 +125,19 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
             ps = partners[p]
             if len(ps) != 2 or ps[0] == ps[1] or p in ps:
                 raise NotDihedral(f"arc {arcs[p]} has partners {[arcs[q] for q in ps]}")
-        # walk the 2-regular partner relation into one cycle over out(v)
+        # walk the 2-regular partner relation from the first arc of v around
+        # its cycle; from_rotations rejects a cycle that misses out(v)
         cyc = [first]
-        seen[first] = 1
         prev = -1
         while True:
             cur = cyc[-1]
             nxt = partners[cur][0] if partners[cur][0] != prev else partners[cur][1]
             if nxt == first:
                 break
-            if not first <= nxt < stop or seen[nxt]:
+            if not first <= nxt < stop:
                 raise NotDihedral(f"relation at vertex {v} leaves out({v})")
             cyc.append(nxt)
-            seen[nxt] = 1
             prev = cur
-        if len(cyc) != stop - first:
-            raise NotDihedral(
-                f"relation components at vertex {v} do not match out({v})"
-            )
         rotations.append(tuple(arcs[p] for p in cyc))
     try:
         scheme = DihedralScheme.from_rotations(g, rotations)

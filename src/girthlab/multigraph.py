@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DanglingEndpoint, NotAnArc, NotAnEdge, SchemaViolation
+from .errors import DanglingEndpoint, NotAnArc, NotAnEdge, NotAVertex, SchemaViolation
 
 
 class Edge(NamedTuple):
@@ -126,7 +126,12 @@ class MultiGraph:
             raise NotAnEdge(f"no edge has id {eid}")
         return self._by_id[eid]
 
+    def _no_vertex(self, v: int) -> NotAVertex:
+        return NotAVertex(f"no vertex {v} in 0..{self._n - 1}")
+
     def degree(self, v: int) -> int:
+        if not 0 <= v < self._n:
+            raise self._no_vertex(v)
         return self._degrees[v]
 
     @property
@@ -134,8 +139,15 @@ class MultiGraph:
         return self._degrees
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        """(neighbor, edge id) pairs; a loop at v appears once."""
-        return self._adj[v]
+        """(neighbor, edge id) pairs; a loop at v appears once. NotAVertex
+        if v is not in 0..n-1."""
+        # every BFS calls this per vertex: indexing alone catches v >= n
+        if v >= 0:
+            try:
+                return self._adj[v]
+            except IndexError:
+                pass
+        raise self._no_vertex(v)
 
     # --- structure predicates ---
 
@@ -214,7 +226,7 @@ class MultiGraph:
         return out
 
     def arcs_of_edge(self, eid: int) -> tuple[Arc, Arc]:
-        e = self._by_id[eid]
+        e = self.edge(eid)
         table = self._arc_table()
         p = table.position[2 * e.id]
         return table.arcs[p], table.arcs[table.inverse[p]]
@@ -226,6 +238,8 @@ class MultiGraph:
     def out_arcs(self, v: int) -> list[Arc]:
         """The arcs with tail v, sorted by (edge id, end selector); a loop
         contributes both of its arcs."""
+        if not 0 <= v < self._n:
+            raise self._no_vertex(v)
         table = self._arc_table()
         return list(table.arcs[table.start[v]:table.start[v + 1]])
 

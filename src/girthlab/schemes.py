@@ -67,11 +67,6 @@ class DihedralScheme:
     def rotation(self, v: int) -> tuple[Arc, ...]:
         return self.rotations[v]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DihedralScheme):
-            return NotImplemented
-        return self.base == other.base and self.rotations == other.rotations
-
     def __repr__(self) -> str:
         return f"DihedralScheme(base={self.base!r}, vertices={len(self.rotations)})"
 

@@ -291,6 +291,26 @@ def test_json_schema_violations():
         read_multigraph_json({"vertices": 1, "edges": [{"id": 0, "ends": []}]})
     with pytest.raises(SchemaViolation):
         read_multigraph_json("not json at all {")
+    # bool subclasses int, but a JSON true or false is no count or id
+    for doc, msg in (
+        ({"vertices": True, "edges": []}, "'vertices' must be"),
+        ({"vertices": 3, "edges": [{"id": True, "ends": [0, 1]}]}, "edge id must be"),
+        ({"vertices": 3, "edges": [{"id": 3, "ends": [2, False]}]}, "edge 3: 'ends' must"),
+        ({"vertices": 2, "edges": [{"id": 0, "ends": [True]}]}, "edge 0: 'ends' must"),
+    ):
+        with pytest.raises(SchemaViolation, match=msg):
+            read_multigraph_json(doc)
+
+
+@pytest.mark.parametrize("field", ["edge", "tail", "end"])
+def test_json_arc_ref_booleans_are_not_integers(field):
+    k4 = families.complete(4)
+    doc = write_multigraph_json(k4, unique_cubic_scheme(k4))
+    ref = doc["scheme"][1][0]  # at vertex 1: its edge, tail and end are 0 or 1
+    assert ref[field] in (0, 1)
+    ref[field] = bool(ref[field])
+    with pytest.raises(SchemaViolation, match="arc ref needs integer"):
+        read_multigraph_json_full(doc)
 
 
 def test_json_dangling_endpoint():

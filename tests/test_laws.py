@@ -108,6 +108,37 @@ def test_thm2_does_not_apply_at_girth_two(k):
     assert not result.violations
 
 
+@pytest.mark.parametrize(
+    "build, applicable",
+    [
+        # a triangle with a pendant edge: connected, not regular, one cycle
+        (lambda: from_edge_list(4, [(0, 1), (1, 2), (2, 0), (2, 3)]), []),
+        (lambda: dipole(2), ["thm1"]),
+        (lambda: families.prism(5), ["thm1", "lem3.1", "lem3.4", "thm3.11", "thm-main"]),
+        (families.petersen, ["thm1", "thm3", "lem3.1", "cor3.3", "lem3.4", "thm-main"]),
+        (families.heawood, ["thm1", "thm2", "lem3.1", "lem3.4"]),
+        # the whole lemma suite applies at signature (0,1,1) and girth 3
+        (
+            lambda: truncate(unique_cubic_scheme(families.complete(4))).graph,
+            ["thm1", "lem3.1", "lem3.2", "cor3.3", "lem3.4", "thm3.6", "thm-main"],
+        ),
+    ],
+    ids=["paw", "dipole2", "prism5", "petersen", "heawood", "truncated-k4"],
+)
+def test_every_law_is_reported_once_in_one_order(build, applicable):
+    results = check_all_laws(build())
+    assert [r.law_id for r in results] == [
+        "thm1", "thm2", "thm3", "lem3.1", "lem3.2", "cor3.3", "lem3.4",
+        "thm3.6", "thm3.9", "thm3.11", "thm-main",
+    ]
+    assert [r.law_id for r in results if r.applicable] == applicable
+    for r in results:
+        if r.applicable:
+            assert r.holds is True, (r.law_id, r.witness)
+        else:
+            assert (r.applicable, r.holds, r.witness) == (False, None, None)
+
+
 def test_laws_reject_disconnected_and_forests():
     with pytest.raises(Disconnected):
         check_all_laws(from_edge_list(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
@@ -194,8 +225,7 @@ def test_maps_onto_checks_edges_with_multiplicities():
     assert _maps_onto(loop, from_edge_list(2, [(1, 1), (0, 1)]), [1, 0])
 
 
-def test_isomorphism_search_is_not_bounded_by_the_recursion_limit():
-    # 1 020 vertices: one frame per vertex would pass the default limit
+def test_decomposition_laws_hold_on_a_1020_vertex_truncation():
     g = truncate(unique_cubic_scheme(families.prism(170))).graph
     results = check_all_laws(g, iso_cap=2000)
     for law_id in ("thm3.6", "thm-main"):

@@ -137,6 +137,19 @@ def test_walks_not_inducing_dihedral_rejected():
         build_map(quad, [w01, w01, w23, w23])
 
 
+def test_walks_splitting_a_vertex_into_two_rotations_rejected():
+    # a 6-edge dipole whose 2-gons run 0-1-2 and 3-4-5 around each vertex:
+    # every arc has two partners, but they close two 3-cycles at a vertex
+    dipole = MultiGraph(2, list(enumerate([(0, 1)] * 6)))
+    walks = [
+        [Arc(0, i, 0), Arc(1, j, 1)]
+        for t in (0, 3)
+        for i, j in ((t, t + 1), (t + 1, t + 2), (t + 2, t))
+    ]
+    with pytest.raises(NotDihedral, match=r"vertex 0 .* out\(0\)"):
+        build_map(dipole, walks)
+
+
 def test_map_from_222_examples():
     for g, chi in ((families.complete(4), 2), (families.cube_q3(), 2), (families.dodecahedron(), 2)):
         m = map_from_222(g)

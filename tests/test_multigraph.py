@@ -5,7 +5,7 @@ import random
 import pytest
 
 from girthlab import families
-from girthlab.errors import DanglingEndpoint, NotAnArc, SchemaViolation
+from girthlab.errors import DanglingEndpoint, NotAnArc, NotAnEdge, NotAVertex, SchemaViolation
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 
 
@@ -158,6 +158,22 @@ def test_foreign_arcs_are_rejected():
     with pytest.raises(NotAnArc):
         loop.inverse(Arc(0, 5, 0))
     assert loop.inverse(Arc(1, 5, 1)) == Arc(1, 5, 0)
+
+
+def test_foreign_edge_ids_and_vertices_are_rejected():
+    p = families.petersen()
+    for eid in (999, -1, p.edge_count):
+        with pytest.raises(NotAnEdge):
+            p.arcs_of_edge(eid)
+    # -1 would index vertex 9 from the end
+    for v in (-1, -10, p.n, 99):
+        for query in (p.degree, p.neighbors, p.out_arcs):
+            with pytest.raises(NotAVertex):
+                query(v)
+    empty = MultiGraph(0, [])
+    for query in (empty.degree, empty.neighbors, empty.out_arcs):
+        with pytest.raises(NotAVertex):
+            query(0)
 
 
 def test_edges_given_out_of_id_order_are_stored_in_id_order():
