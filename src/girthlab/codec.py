@@ -17,7 +17,7 @@ from .errors import (
     SchemaViolation,
     VertexCountOverflow,
 )
-from .multigraph import Arc, MultiGraph
+from .multigraph import Arc, MultiGraph, _is_int
 
 if TYPE_CHECKING:  # pragma: no cover
     from .schemes import DihedralScheme
@@ -206,11 +206,6 @@ def write_sparse6(g: MultiGraph) -> str:
 def _check(cond: bool, msg: str) -> None:
     if not cond:
         raise SchemaViolation(msg)
-
-
-def _is_int(x: Any) -> bool:
-    """A JSON integer: true and false decode to bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def read_multigraph_json(doc: dict[str, Any] | str) -> MultiGraph:

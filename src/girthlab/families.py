@@ -8,7 +8,6 @@ stable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import AsymmetricConnectionSet, BadParams, ZeroInConnectionSet
@@ -133,25 +132,21 @@ def _checked_lcf(n: int, seq: Sequence[int], want_girth: int, name: str) -> Mult
     return g
 
 
-@cache
 def tutte_coxeter() -> MultiGraph:
     """Tutte-Coxeter graph (Tutte 8-cage), 30 vertices, girth 8."""
     return _checked_lcf(30, _TUTTE_COXETER_LCF, 8, "tutteCoxeter")
 
 
-@cache
 def tutte_12cage() -> MultiGraph:
     """Tutte 12-cage, 126 vertices, girth 12."""
     return _checked_lcf(126, _TUTTE_12CAGE_LCF, 12, "tutte12Cage")
 
 
-@cache
 def dodecahedron() -> MultiGraph:
     """Dodecahedron skeleton, 20 vertices, girth 5."""
     return _checked_lcf(20, _DODECAHEDRON_LCF, 5, "dodecahedron")
 
 
-@cache
 def hoffman_singleton() -> MultiGraph:
     """Hoffman-Singleton graph: pentagons P_h (vertices 5h+j, j ~ j±1) for
     h in 0..4, pentagrams Q_i (vertices 25+5i+j, j ~ j±2), and P_h,j

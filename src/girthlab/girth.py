@@ -10,8 +10,10 @@ both branches; any other edge off the BFS tree closes a shorter cycle. The
 counts of an edge from its two ends must agree. Each graph keeps its
 report, and ε of one edge is read from it. The girth cycles are listed by
 a second rooted pass, each once at its least vertex, and must add up to
-the report's ε. The distance partitions intersect the balls (`_ball`)
-around both ends of an edge.
+the report's ε. The two-path counts at a cubic vertex solve a linear
+system over the report's ε, and the partition facts read ε from it too.
+`_ball` serves only the distance partitions, which intersect the balls
+around two vertices.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
-from .multigraph import Arc, MultiGraph
+from .multigraph import Arc, MultiGraph, _is_int
 
 Ball = dict[int, int]
 
@@ -312,46 +314,6 @@ def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     return sorted((frozenset(a.edge for a in walk) for walk in _least_vertex_cycles(g)), key=sorted)
 
 
-# --- direct path-count of cycles through an edge or a 2-path ---
-
-def _count_paths(
-    g: MultiGraph,
-    goal_ball: Ball,
-    cur: int,
-    goal: int,
-    remaining: int,
-    visited: set[int],
-    skip: int | None,
-) -> int:
-    """Simple paths of `remaining` edges from cur to goal that avoid the
-    vertices in `visited` and the edge `skip`; `goal_ball` (distances to
-    goal, radius at least `remaining`) prunes branches that cannot arrive."""
-    if remaining <= 0:
-        return int(remaining == 0 and cur == goal)
-    dist = goal_ball.get(cur)
-    if dist is None or dist > remaining:
-        return 0
-    total = 0
-    for w, eid in g.neighbors(cur):
-        if eid == skip or w in visited:
-            continue
-        if w == goal and remaining != 1:
-            continue
-        visited.add(w)
-        total += _count_paths(g, goal_ball, w, goal, remaining - 1, visited, skip)
-        visited.remove(w)
-    return total
-
-
-def epsilon_by_paths(g: MultiGraph, eid: int) -> int:
-    """ε by direct definition: simple u-v paths of length g-1 avoiding uv.
-    Used as the literal side of the partition-fact checks."""
-    gir = _require_finite(g)
-    e = g.edge(eid)
-    u, v = e.ends[0], e.ends[-1]
-    return _count_paths(g, _ball(g, v, gir - 1), u, v, gir - 1, {u}, eid)
-
-
 # --- distance partitions ---
 
 @dataclass(frozen=True, slots=True)
@@ -379,27 +341,25 @@ def _partition(g: MultiGraph, u: int, anchor: int, gir: int) -> DistancePartitio
     return DistancePartition((u, anchor), d, frozen)
 
 
-def _edge_between(g: MultiGraph, u: int, v: int) -> int | None:
-    """The least id of an edge joining the distinct vertices u and v."""
-    if u != v and 0 <= u < g.n:
+def _edge_between(g: MultiGraph, u: int, v: int) -> int:
+    """The least id of an edge joining the distinct vertices u and v;
+    NotAnEdge if there is none or either is not a vertex id."""
+    if u != v and _is_int(u) and _is_int(v) and 0 <= u < g.n:
         for w, eid in g.neighbors(u):  # in edge-id order
             if w == v:
                 return eid
-    return None
+    raise NotAnEdge(f"({u!r}, {v!r}) is not an edge")
 
 
 def distance_partition(g: MultiGraph, u: int, v: int) -> DistancePartition:
-    if _edge_between(g, u, v) is None:
-        raise NotAnEdge(f"({u}, {v}) is not an edge")
-    gir = _require_finite(g)
-    return _partition(g, u, v, gir)
+    _edge_between(g, u, v)
+    return _partition(g, u, v, _require_finite(g))
 
 
 def distance_partition_2path(g: MultiGraph, u: int, v: int, w: int) -> DistancePartition:
-    if _edge_between(g, u, v) is None or _edge_between(g, v, w) is None:
-        raise NotAnEdge(f"({u}, {v}, {w}) is not a 2-path")
-    gir = _require_finite(g)
-    part = _partition(g, u, w, gir)
+    _edge_between(g, u, v)
+    _edge_between(g, v, w)
+    part = _partition(g, u, w, _require_finite(g))
     return DistancePartition((u, v, w), part.radius, part.cells)
 
 
@@ -412,26 +372,28 @@ class FactResult:
 
 
 def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
-    """Evaluate the six distance-partition facts literally for the edge uv.
+    """Evaluate the six distance-partition facts literally for the edge uv,
+    against the report's ε, and report one result per fact 1-6, in order.
 
-    Facts quantified with (k-1)-counts apply to regular graphs only; facts
-    five and six are gated on the girth's parity.
+    Facts quantified with (k-1)-counts apply to regular graphs only. Fact
+    five applies at even girth >= 4 and fact six at odd girth. At girth 2
+    neither does: the cells D^0_1 = {u} and D^1_0 = {v} are joined by every
+    parallel u-v edge, uv included, while ε(uv) leaves uv out.
     """
     eid = _edge_between(g, u, v)
-    if eid is None:
-        raise NotAnEdge(f"({u}, {v}) is not an edge")
-    gir = _require_finite(g)
+    report = girth_report(g)
+    gir, eps = report.girth, report.epsilon[eid]
     part = _partition(g, u, v, gir)
     d = part.radius
     k = g.is_regular()
-    results: list[FactResult] = []
+    found: dict[int, tuple[bool, Any]] = {}  # (holds, witness) of each fact that applies
 
     def adj(x: int) -> set[int]:
         return {w for w, _ in g.neighbors(x) if w != x}
 
     # (1) D^i_i empty below the radius
     bad = [(i, sorted(part.cell(i, i))) for i in range(1, d) if part.cell(i, i)]
-    results.append(FactResult(1, True, not bad, bad or None))
+    found[1] = (not bad, bad or None)
 
     # (2) the two off-diagonal shells are independent sets
     bad2 = []
@@ -441,7 +403,7 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
                 hits = adj(x) & cell
                 if hits:
                     bad2.append((i, x, sorted(hits)))
-    results.append(FactResult(2, True, not bad2, bad2 or None))
+    found[2] = (not bad2, bad2 or None)
 
     # (3) one neighbour back; k-1 neighbours forward (regular only)
     bad3 = []
@@ -456,41 +418,35 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
                     bad3.append((i, x, "back", len(nb & back)))
                 if k is not None and i <= d - 1 and len(nb & fwd) != k - 1:
                     bad3.append((i, x, "forward", len(nb & fwd)))
-    results.append(FactResult(3, True, not bad3, bad3 or None))
+    found[3] = (not bad3, bad3 or None)
 
     # (4) shell sizes (k-1)^(i-1), regular graphs
-    if k is None:
-        results.append(FactResult(4, False, None))
-    else:
+    if k is not None:
         bad4 = []
         for i in range(1, d + 1):
             want = (k - 1) ** (i - 1)
             for cell_name, cell in (("upper", part.cell(i - 1, i)), ("lower", part.cell(i, i - 1))):
                 if len(cell) != want:
                     bad4.append((i, cell_name, len(cell), want))
-        results.append(FactResult(4, True, not bad4, bad4 or None))
+        found[4] = (not bad4, bad4 or None)
 
-    eps_direct = epsilon_by_paths(g, eid)
-
-    # (5) even girth: ε(uv) counts the far cross edges
-    if gir % 2 == 0:
+    if gir % 2 == 0 and gir >= 4:
+        # (5) even girth: ε(uv) counts the far cross edges
         upper, lower = part.cell(d - 1, d), part.cell(d, d - 1)
         far = sum(1 for x in upper for y, _ in g.neighbors(x) if y in lower)
-        results.append(FactResult(5, True, far == eps_direct, (far, eps_direct)))
-        results.append(FactResult(6, False, None))
-    else:
+        found[5] = (far == eps, (far, eps))
+    elif gir % 2:
         # (6) odd girth: matched far shell of size ε(uv)
-        results.append(FactResult(5, False, None))
         dd = part.cell(d, d)
-        ok = len(dd) == eps_direct
-        wit: Any = (len(dd), eps_direct)
+        ok = len(dd) == eps
+        wit: Any = (len(dd), eps)
         for x in dd:
             if len(adj(x) & part.cell(d - 1, d)) != 1 or len(adj(x) & part.cell(d, d - 1)) != 1:
                 ok = False
                 wit = ("unmatched far vertex", x)
                 break
-        results.append(FactResult(6, True, ok, wit))
-    return results
+        found[6] = (ok, wit)
+    return [FactResult(f, f in found, *found.get(f, (None, None))) for f in range(1, 7)]
 
 
 # --- two-path counts ---
@@ -498,7 +454,10 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
 @dataclass(frozen=True, slots=True)
 class TwoPathCounts:
     """Girth-cycle counts of the three 2-paths at a cubic vertex, in the
-    fixed order (e1e2, e2e3, e3e1) with e1 < e2 < e3 by edge id."""
+    fixed order (e1e2, e2e3, e3e1) with e1 < e2 < e3 by edge id. Every
+    girth cycle through the vertex uses exactly two of its edges, so the
+    counts solve ε(e1) = x + z, ε(e2) = x + y, ε(e3) = y + z over the
+    report's ε."""
 
     vertex: int
     edges: tuple[int, int, int]
@@ -508,13 +467,9 @@ class TwoPathCounts:
 
 
 def two_path_counts(g: MultiGraph, v: int) -> TwoPathCounts:
-    if not 0 <= v < g.n or g.degree(v) != 3 or any(w == v for w, _ in g.neighbors(v)):
-        raise NotCubicVertex(f"vertex {v} is not a loop-free valence-3 vertex")
-    gir = _require_finite(g)
-    (e1, a1), (e2, a2), (e3, a3) = sorted((eid, w) for w, eid in g.neighbors(v))
-
-    def through(a: int, b: int) -> int:
-        # girth cycles through the 2-path a-v-b: a-b paths of g-2 edges avoiding v
-        return _count_paths(g, _ball(g, b, gir - 2), a, b, gir - 2, {v, a}, None)
-
-    return TwoPathCounts(v, (e1, e2, e3), through(a1, a2), through(a2, a3), through(a3, a1))
+    if not (_is_int(v) and 0 <= v < g.n) or g.degree(v) != 3 or any(w == v for w, _ in g.neighbors(v)):
+        raise NotCubicVertex(f"vertex {v!r} is not a loop-free valence-3 vertex")
+    eps = girth_report(g).epsilon
+    e1, e2, e3 = sorted(eid for _, eid in g.neighbors(v))
+    a, b, c = eps[e1], eps[e2], eps[e3]
+    return TwoPathCounts(v, (e1, e2, e3), (a + b - c) // 2, (b + c - a) // 2, (a + c - b) // 2)

@@ -15,6 +15,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import DanglingEndpoint, NotAnArc, NotAnEdge, NotAVertex, SchemaViolation
 
 
+def _is_int(x: object) -> bool:
+    """An integer id or count: True and False are ints to Python, but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Edge(NamedTuple):
     id: int
     ends: tuple[int, ...]  # (v,) for a loop, (u, v) with u <= v otherwise
@@ -57,19 +62,30 @@ class MultiGraph:
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):
-        """`edges` yields (edge id, endpoints); endpoints of length 1 or 2."""
+        """`edges` yields (edge id, endpoints); endpoints of length 1 or 2.
+        Ids and the count are ints, not bools; SchemaViolation otherwise."""
+        if not _is_int(n):
+            raise SchemaViolation(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise SchemaViolation(f"negative vertex count {n}")
         by_id: dict[int, Edge] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         loops = []
         for eid, ends in edges:
-            ends = tuple(ends)
+            # exact ints pass without a call: every graph is built through here
+            if type(eid) is not int and not _is_int(eid):
+                raise SchemaViolation(f"edge id {eid!r} is not an integer")
+            try:
+                ends = tuple(ends)
+            except TypeError:
+                raise SchemaViolation(f"edge {eid}: endpoints {ends!r} are not a sequence") from None
             if len(ends) == 2 and ends[0] == ends[1]:
                 ends = ends[:1]  # a loop given as (v, v)
             if len(ends) not in (1, 2):
                 raise SchemaViolation(f"edge {eid}: {len(ends)} endpoints")
             for v in ends:
+                if type(v) is not int and not _is_int(v):
+                    raise SchemaViolation(f"edge {eid}: endpoint {v!r} is not an integer")
                 if not (0 <= v < n):
                     raise DanglingEndpoint(f"edge {eid}: endpoint {v} not in 0..{n - 1}")
             if eid in by_id:

@@ -178,3 +178,16 @@ def test_generated_graphs_respect_moore_bound():
         g = families.generate(spec)
         k = g.is_regular()
         assert g.n >= families.moore_bound(k, girth(g))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [families.tutte_coxeter, families.tutte_12cage, families.dodecahedron, families.hoffman_singleton],
+)
+def test_named_graphs_are_built_fresh_on_each_call(build):
+    # a graph keeps its girth and report, so a shared one would carry them
+    # from one caller to the next
+    first, second = build(), build()
+    assert first == second and first is not second
+    girth_report(first)
+    assert first._report is not None and second._report is None

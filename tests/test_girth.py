@@ -19,7 +19,6 @@ from girthlab.girth import (
     distance_partition,
     distance_partition_2path,
     epsilon,
-    epsilon_by_paths,
     girth,
     girth_cycles,
     girth_report,
@@ -130,8 +129,8 @@ RANDOM_GRAPHS = _random_graphs()
 
 
 def _fresh(g: MultiGraph) -> MultiGraph:
-    """An equal graph that keeps no girth or report yet; some named
-    families return one shared graph."""
+    """An equal graph that keeps no girth or report yet, whatever the
+    given graph has kept from earlier calls."""
     return MultiGraph(g.n, [(e.id, e.ends) for e in g.edges])
 
 
@@ -388,6 +387,7 @@ def test_oracle_equivalence_on_named_graphs():
         families.petersen(),  # girth 5
         families.dodecahedron(),  # girth 5
         families.prism(5),
+        families.prism(7),
         families.mobius(6),
         families.heawood(),  # girth 6
         families.tutte_coxeter(),  # girth 8
@@ -436,19 +436,13 @@ def test_oracle_equivalence_on_multigraphs():
     assert girth_report(loopy).epsilon == naive_epsilon(loopy)
 
 
-def test_epsilon_by_paths_matches_fast_counter():
-    for g in (families.petersen(), families.heawood(), families.prism(7)):
-        for e in g.edges:
-            assert epsilon(g, e.id) == epsilon_by_paths(g, e.id)
-
-
 def test_path_counts_match_oracle_on_random_graphs():
     for g in RANDOM_GRAPHS:
         if naive_girth(g) is None:
             continue
         eps = naive_epsilon(g)
         for e in g.edges:
-            assert epsilon(g, e.id) == epsilon_by_paths(g, e.id) == eps[e.id]
+            assert epsilon(g, e.id) == eps[e.id]
         for v, want in naive_two_path_counts(g).items():
             t = two_path_counts(g, v)
             assert (t.x, t.y, t.z) == want
@@ -570,7 +564,7 @@ def test_two_path_counts_rejects_non_cubic_vertices():
         two_path_counts(families.cycle(5), 0)
     with pytest.raises(NotCubicVertex):
         two_path_counts(from_edge_list(2, [(0, 0), (0, 1)]), 0)
-    for v in (99, -1):  # no vertex of the graph
+    for v in (99, -1, True, "0", 1.0):  # no vertex id of the graph
         with pytest.raises(NotCubicVertex):
             two_path_counts(families.petersen(), v)
 
@@ -602,11 +596,15 @@ def test_distance_partition_k33_cross_edges():
 
 
 def test_distance_partition_requires_an_edge():
+    pet = families.petersen()
+    for u, v in ((0, 2), ("0", 1), (0, "1"), (False, True), (0, True), (0, 1.0)):
+        for query in (distance_partition, check_partition_facts):
+            with pytest.raises(NotAnEdge):
+                query(pet, u, v)
     with pytest.raises(NotAnEdge):
-        distance_partition(families.petersen(), 0, 2)
-    for count in (epsilon, epsilon_by_paths):
-        with pytest.raises(NotAnEdge):
-            count(families.petersen(), 999)
+        distance_partition_2path(pet, 4, 0, True)
+    with pytest.raises(NotAnEdge):
+        epsilon(families.petersen(), 999)
 
 
 def test_distance_partition_2path():
@@ -633,6 +631,32 @@ def test_partition_facts_odd_girth():
     for fact in (1, 2, 3, 4, 6):
         assert results[fact].applicable and results[fact].holds, results[fact]
     assert not results[5].applicable
+
+
+def test_partition_facts_skip_fact_5_at_girth_2():
+    # the cells D^0_1 = {0} and D^1_0 = {1} are joined by all three edges,
+    # while each edge lies on two of the three girth cycles
+    results = {r.fact: r for r in check_partition_facts(THETA, 0, 1)}
+    assert not results[5].applicable and not results[6].applicable
+    assert all(results[fact].holds for fact in (1, 2, 3, 4))
+
+
+def test_partition_facts_hold_on_random_graphs():
+    for g in RANDOM_GRAPHS:
+        if naive_girth(g) is None:
+            continue
+        eps = naive_epsilon(g)
+        for e in g.edges:
+            if e.is_loop:
+                continue
+            u, v = e.ends
+            for a, b in ((u, v), (v, u)):
+                results = check_partition_facts(g, a, b)
+                assert [r.fact for r in results] == [1, 2, 3, 4, 5, 6]
+                assert not any(r.applicable and not r.holds for r in results), results
+                for r in results[4:]:
+                    if r.applicable:  # parallel edges, if any, share ε
+                        assert r.witness[-1] == eps[e.id]
 
 
 def test_partition_facts_cycle_degenerate():

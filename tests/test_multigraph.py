@@ -194,3 +194,19 @@ def test_construction_errors_come_in_input_order():
         MultiGraph(2, [(4, (0, 1)), (4, (1,)), (5, (0, 7))])
     with pytest.raises(SchemaViolation, match="negative vertex count -1"):
         MultiGraph(-1, [(0, (0, 9))])
+
+
+def test_ids_and_counts_that_are_not_integers_are_rejected():
+    # True and False are ints to Python; floats and strings are not ids
+    for n in (True, 2.0, "3", None):
+        with pytest.raises(SchemaViolation, match="vertex count"):
+            MultiGraph(n, [])
+    for eid in (True, "a", 1.5):
+        with pytest.raises(SchemaViolation, match="edge id"):
+            MultiGraph(2, [(eid, (0, 1))])
+    for ends in ((False, True), (0, 1.0), (0, "1"), ("0",)):
+        with pytest.raises(SchemaViolation, match="endpoint"):
+            MultiGraph(2, [(0, ends)])
+    for ends in (5, None):
+        with pytest.raises(SchemaViolation, match="not a sequence"):
+            MultiGraph(2, [(0, ends)])
