@@ -7,8 +7,7 @@ stable across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import AsymmetricConnectionSet, BadParams, ZeroInConnectionSet
 from .girth import girth
@@ -166,8 +165,7 @@ def hoffman_singleton() -> MultiGraph:
     return g
 
 
-@dataclass(frozen=True, slots=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     params: tuple[int, ...] = ()
 

@@ -19,9 +19,8 @@ around two vertices.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from .multigraph import Arc, MultiGraph, _is_int
@@ -195,8 +194,7 @@ def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
 
 # --- reports ---
 
-@dataclass(frozen=True, slots=True)
-class GirthReport:
+class GirthReport(NamedTuple):
     """The girth, the girth-cycle count, ε of every edge, each vertex's
     signature and the common signature (None unless girth-regular). The
     mappings are read-only: the graph keeps its report for later calls."""
@@ -316,17 +314,19 @@ def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
 
 # --- distance partitions ---
 
-@dataclass(frozen=True, slots=True)
-class DistancePartition:
+class DistancePartition(NamedTuple):
     """Cells D^i_j = S_i(u) ∩ S_j(anchor); anchor is v for an edge pair
-    (u, v) and w for a 2-path (u, v, w)."""
+    (u, v) and w for a 2-path (u, v, w). The repr leaves the cells out."""
 
     sources: tuple[int, ...]
     radius: int
-    cells: dict[tuple[int, int], frozenset[int]] = field(repr=False)
+    cells: dict[tuple[int, int], frozenset[int]]
 
     def cell(self, i: int, j: int) -> frozenset[int]:
         return self.cells.get((i, j), frozenset())
+
+    def __repr__(self) -> str:
+        return f"DistancePartition(sources={self.sources!r}, radius={self.radius!r})"
 
 
 def _partition(g: MultiGraph, u: int, anchor: int, gir: int) -> DistancePartition:
@@ -363,8 +363,7 @@ def distance_partition_2path(g: MultiGraph, u: int, v: int, w: int) -> DistanceP
     return DistancePartition((u, v, w), part.radius, part.cells)
 
 
-@dataclass(frozen=True, slots=True)
-class FactResult:
+class FactResult(NamedTuple):
     fact: int
     applicable: bool
     holds: bool | None
@@ -451,8 +450,7 @@ def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
 
 # --- two-path counts ---
 
-@dataclass(frozen=True, slots=True)
-class TwoPathCounts:
+class TwoPathCounts(NamedTuple):
     """Girth-cycle counts of the three 2-paths at a cubic vertex, in the
     fixed order (e1e2, e2e3, e3e1) with e1 < e2 < e3 by edge id. Every
     girth cycle through the vertex uses exactly two of its edges, so the

@@ -11,8 +11,8 @@ where its gate does not hold.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import families
 from .errors import Disconnected, GirthLabError, InfiniteGirth, PreconditionViolation, SizeCapExceeded
@@ -25,8 +25,7 @@ from .schemes import DihedralScheme, contract_cycles, decompose_011, truncate
 EXAMPLES_PER_BUCKET = 3
 
 
-@dataclass(frozen=True, slots=True)
-class LawResult:
+class LawResult(NamedTuple):
     law_id: str
     applicable: bool
     holds: bool | None
@@ -56,16 +55,25 @@ DODECAHEDRON = "Dodecahedron"
 OUTSIDE = "OutsideTheorem"
 
 
-@dataclass(frozen=True)
-class Classification:
+class _Case(NamedTuple):
+    case: str
+    detail: dict[str, Any]
+    witness: Any = None
+    model: MultiGraph | None = None
+
+
+class Classification(_Case):
     """A classification case. `witness` is the decomposition the case
     rests on: (base, scheme) for Trunc011, (map, X/Y split) at signature
-    (1,1,2). `model` is the named graph that g was checked against."""
+    (1,1,2). `model` is the named graph that g was checked against. Each
+    case made without a detail gets a new empty one."""
 
-    case: str
-    detail: dict[str, Any] = field(default_factory=dict)
-    witness: Any = None
-    model: Optional[MultiGraph] = None
+    __slots__ = ()
+
+    def __new__(
+        cls, case: str, detail: dict[str, Any] | None = None, witness: Any = None, model: MultiGraph | None = None
+    ) -> "Classification":
+        return super().__new__(cls, case, {} if detail is None else detail, witness, model)
 
     def to_json(self) -> dict[str, Any]:
         return {"case": self.case, "detail": self.detail}
@@ -332,21 +340,39 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
 
 # --- census ---
 
-@dataclass
-class CensusBucket:
-    girth: int | None
-    signature: tuple[int, ...] | None
-    count: int = 0
-    examples: list[str] = field(default_factory=list)
+class CensusBucket(SimpleNamespace):
+    """The graphs of one (girth, signature): how many, and the first ids."""
+
+    def __init__(
+        self, girth: int | None, signature: tuple[int, ...] | None, count: int = 0,
+        examples: list[str] | None = None,
+    ):
+        examples = [] if examples is None else examples
+        super().__init__(girth=girth, signature=signature, count=count, examples=examples)
+
+    def __reduce__(self) -> tuple:
+        # SimpleNamespace's own would call the class without its two required arguments
+        return type(self), (self.girth, self.signature, self.count, self.examples)
 
 
-@dataclass
-class CensusResult:
-    total: int = 0
-    buckets: dict[tuple, CensusBucket] = field(default_factory=dict)
-    violations: list[tuple[str, str, Any]] = field(default_factory=list)
-    unverified: list[tuple[str, str]] = field(default_factory=list)
-    errors: list[tuple[str, str]] = field(default_factory=list)
+class CensusResult(SimpleNamespace):
+    """What census gathered; each result starts with its own containers."""
+
+    def __init__(
+        self,
+        total: int = 0,
+        buckets: dict[tuple, CensusBucket] | None = None,
+        violations: list[tuple[str, str, Any]] | None = None,
+        unverified: list[tuple[str, str]] | None = None,
+        errors: list[tuple[str, str]] | None = None,
+    ):
+        super().__init__(
+            total=total,
+            buckets={} if buckets is None else buckets,
+            violations=[] if violations is None else violations,
+            unverified=[] if unverified is None else unverified,
+            errors=[] if errors is None else errors,
+        )
 
     def sorted_buckets(self) -> list[CensusBucket]:
         def key(b: CensusBucket):

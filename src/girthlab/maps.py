@@ -9,8 +9,7 @@ forcing non-orientability. No surface is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from .codec import arc_ref, write_multigraph_json
 from .errors import (
@@ -27,12 +26,19 @@ from .multigraph import Arc, MultiGraph
 from .schemes import DihedralScheme, TruncationResult, contract_cycles, least_rotation, truncate
 
 
-@dataclass(frozen=True)
 class ClosedWalk:
     """A simple closed walk as a cyclic arc sequence, normalized to start
-    at its lexicographically least arc in the lesser traversal direction."""
+    at its lexicographically least arc in the lesser traversal direction.
+    Its length is its arc count, and walks sort by their arcs."""
 
-    arcs: tuple[Arc, ...]
+    __slots__ = ("_arcs",)
+
+    def __init__(self, arcs: tuple[Arc, ...]):
+        self._arcs = arcs
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        return self._arcs
 
     @classmethod
     def from_arcs(cls, g: MultiGraph, arcs: Sequence[Arc]) -> "ClosedWalk":
@@ -54,18 +60,26 @@ class ClosedWalk:
         return cls(min(least_rotation(arcs), least_rotation(inverse[::-1])))
 
     def __len__(self) -> int:
-        return len(self.arcs)
+        return len(self._arcs)
 
     @property
     def edge_ids(self) -> frozenset[int]:
-        return frozenset(a.edge for a in self.arcs)
+        return frozenset(a.edge for a in self._arcs)
 
     def __lt__(self, other: "ClosedWalk") -> bool:
-        return self.arcs < other.arcs
+        return self._arcs < other._arcs
+
+    def __eq__(self, other: object) -> bool:
+        return self._arcs == other._arcs if isinstance(other, ClosedWalk) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._arcs)
+
+    def __repr__(self) -> str:
+        return f"ClosedWalk(arcs={self._arcs!r})"
 
 
-@dataclass(frozen=True)
-class MapComplex:
+class MapComplex(NamedTuple):
     skeleton: MultiGraph
     faces: tuple[ClosedWalk, ...]
     scheme_induced: DihedralScheme

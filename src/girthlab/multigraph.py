@@ -8,7 +8,6 @@ are told apart by their end selector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -29,8 +28,7 @@ class Edge(NamedTuple):
         return len(self.ends) == 1
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Arc:
+class Arc(NamedTuple):
     """One side of an edge: the arc underlying `edge` whose tail is
     `ends[end]` (loops use end 0 and 1 for their two arcs)."""
 
@@ -68,10 +66,18 @@ class MultiGraph:
             raise SchemaViolation(f"vertex count {n!r} is not an integer")
         if n < 0:
             raise SchemaViolation(f"negative vertex count {n}")
+        try:
+            records = iter(edges)
+        except TypeError:
+            raise SchemaViolation(f"edges must be iterable, not {type(edges).__name__}") from None
         by_id: dict[int, Edge] = {}
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         loops = []
-        for eid, ends in edges:
+        for record in records:
+            try:
+                eid, ends = record
+            except (TypeError, ValueError):
+                raise SchemaViolation(f"edge record {record!r} is not an (id, endpoints) pair") from None
             # exact ints pass without a call: every graph is built through here
             if type(eid) is not int and not _is_int(eid):
                 raise SchemaViolation(f"edge id {eid!r} is not an integer")
@@ -138,15 +144,16 @@ class MultiGraph:
 
     def edge(self, eid: int) -> Edge:
         """The edge with this id; NotAnEdge if the graph has none."""
-        if eid not in self._by_id:
-            raise NotAnEdge(f"no edge has id {eid}")
+        # exact ints pass without a call, as in the constructor
+        if (type(eid) is not int and not _is_int(eid)) or eid not in self._by_id:
+            raise NotAnEdge(f"no edge has id {eid!r}")
         return self._by_id[eid]
 
     def _no_vertex(self, v: int) -> NotAVertex:
-        return NotAVertex(f"no vertex {v} in 0..{self._n - 1}")
+        return NotAVertex(f"no vertex {v!r} in 0..{self._n - 1}")
 
     def degree(self, v: int) -> int:
-        if not 0 <= v < self._n:
+        if (type(v) is not int and not _is_int(v)) or not 0 <= v < self._n:
             raise self._no_vertex(v)
         return self._degrees[v]
 
@@ -237,7 +244,8 @@ class MultiGraph:
         position, known = table.position, table.arcs
         out = []
         for a in arcs:
-            p = position.get(2 * a.edge + a.end, -1)
+            _, eid, end = a  # unpacking reads a named tuple's fields fastest
+            p = position.get(2 * eid + end, -1)
             out.append(p if p >= 0 and (known[p] is a or known[p] == a) else -1)
         return out
 
@@ -254,7 +262,7 @@ class MultiGraph:
     def out_arcs(self, v: int) -> list[Arc]:
         """The arcs with tail v, sorted by (edge id, end selector); a loop
         contributes both of its arcs."""
-        if not 0 <= v < self._n:
+        if (type(v) is not int and not _is_int(v)) or not 0 <= v < self._n:
             raise self._no_vertex(v)
         table = self._arc_table()
         return list(table.arcs[table.start[v]:table.start[v + 1]])

@@ -8,8 +8,7 @@ direction) so equal schemes compare and serialize identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
 from .girth import _least_vertex_cycles, girth_report
@@ -25,8 +24,7 @@ def least_rotation(seq: Sequence[T]) -> tuple[T, ...]:
     return tuple(seq[k:]) + tuple(seq[:k])
 
 
-@dataclass(frozen=True)
-class DihedralScheme:
+class DihedralScheme(NamedTuple):
     base: MultiGraph
     rotations: dict[int, tuple[Arc, ...]]
 
@@ -41,7 +39,7 @@ class DihedralScheme:
             cyc = tuple(cyc)
             if len(cyc) < 3:
                 raise InvalidScheme(f"rotation cycle of length {len(cyc)} < 3")
-            tails = {a.tail for a in cyc}
+            tails = {tail for tail, _, _ in cyc}
             if len(tails) != 1:
                 raise InvalidScheme(f"rotation mixes vertices {sorted(tails)}")
             v = cyc[0].tail
@@ -71,8 +69,7 @@ class DihedralScheme:
         return f"DihedralScheme(base={self.base!r}, vertices={len(self.rotations)})"
 
 
-@dataclass(frozen=True)
-class TruncationResult:
+class TruncationResult(NamedTuple):
     graph: MultiGraph
     vertex_origin: dict[int, Arc]
 

@@ -430,12 +430,14 @@ def test_json_array_on_empty_input(tmp_path, capsys):
     assert out == "[]\n"
 
 
-# runs one command in a fresh interpreter, then names the girthlab modules it loaded
+# runs one command in a fresh interpreter, then names the girthlab modules
+# it loaded, and the standard modules that no command needs
 LOADED_MODULES = """
 import sys
 from girthlab.cli import main
 main(sys.argv[1:])
 print(*sorted(m.removeprefix("girthlab.") for m in sys.modules if m.startswith("girthlab.")))
+print(*sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 
 
@@ -445,8 +447,10 @@ print(*sorted(m.removeprefix("girthlab.") for m in sys.modules if m.startswith("
         (["analyze"], {"codec", "girth", "multigraph"}, {"laws", "maps", "schemes", "isomorphism"}),
         (["truncate"], {"schemes"}, {"laws", "maps", "isomorphism"}),
         (["decompose", "--mode", "112"], {"maps", "schemes"}, {"laws", "isomorphism"}),
+        (["verify"], {"laws", "isomorphism", "maps", "schemes"}, set()),
+        (["census"], {"laws", "isomorphism", "maps", "schemes"}, set()),
     ],
-    ids=["analyze", "truncate", "decompose"],
+    ids=["analyze", "truncate", "decompose", "verify", "census"],
 )
 def test_each_command_loads_only_what_it_runs(command, needs, skips, tmp_path):
     p = tmp_path / "empty.g6"
@@ -457,8 +461,11 @@ def test_each_command_loads_only_what_it_runs(command, needs, skips, tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
+    *_, ours, stdlib = done.stdout.splitlines()
+    loaded = set(ours.split())
     assert needs <= loaded and not skips & loaded, sorted(loaded)
+    # site loads neither, so a command that does pays for them on every start
+    assert stdlib == "", stdlib
 
 
 def _cli_process(argv, **kwargs):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import importlib
 import random
@@ -719,7 +718,7 @@ def test_listing_checks_epsilon_tally(monkeypatch, g, delta):
     rep = girth_report(g)
     for eid, count in rep.epsilon.items():
         forged = MappingProxyType({**rep.epsilon, eid: count + delta})
-        monkeypatch.setattr(g, "_report", dataclasses.replace(rep, epsilon=forged))
+        monkeypatch.setattr(g, "_report", rep._replace(epsilon=forged))
         with pytest.raises(GirthInvariantViolation, match="girth-cycle count of edges"):
             girth_cycles(g)
 

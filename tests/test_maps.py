@@ -253,7 +253,6 @@ def test_map_json_shape():
 # (1,1,2), or each girth cycle in turn dropped from ε as a whole, which
 # leaves every count a whole number of cycles
 FORGED_REPORT_CHECK = """
-import dataclasses
 from types import MappingProxyType
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation
@@ -263,7 +262,7 @@ from girthlab.multigraph import MultiGraph
 from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
 
 def forge(g, rep, **fields):
-    g._report = dataclasses.replace(rep, **fields)
+    g._report = rep._replace(**fields)
 
 def rejects(run, g):
     try:

@@ -174,6 +174,13 @@ def test_foreign_edge_ids_and_vertices_are_rejected():
     for query in (empty.degree, empty.neighbors, empty.out_arcs):
         with pytest.raises(NotAVertex):
             query(0)
+    # True would answer for vertex or edge 1; neighbors is left unchecked
+    for x in (True, "1", 1.0):
+        for query in (p.degree, p.out_arcs):
+            with pytest.raises(NotAVertex, match="no vertex"):
+                query(x)
+        with pytest.raises(NotAnEdge, match="no edge has id"):
+            p.edge(x)
 
 
 def test_edges_given_out_of_id_order_are_stored_in_id_order():
@@ -210,3 +217,8 @@ def test_ids_and_counts_that_are_not_integers_are_rejected():
     for ends in (5, None):
         with pytest.raises(SchemaViolation, match="not a sequence"):
             MultiGraph(2, [(0, ends)])
+    for record in (5, (0,), (0, (0, 1), 2), None):
+        with pytest.raises(SchemaViolation, match="is not an .id, endpoints. pair"):
+            MultiGraph(2, [record])
+    with pytest.raises(SchemaViolation, match="edges must be iterable, not NoneType"):
+        MultiGraph(2, None)
