@@ -1,48 +1,81 @@
 """Girth, per-edge girth-cycle counts, signatures, girth cycles and
-distance partitions.
+distance partitions, all from one layered BFS, `_bfs`. From a root, to a
+radius, optionally over the vertices above the root only, it labels each
+vertex with its depth, parent, tree edge and branch (the edge at the root
+its tree path leaves by) and lists the non-tree edges it meets: a closed
+walk through the root closes at each. A pass stamps each root's depths
+above a base of its own, so no root resets the marks. Four consumers:
 
-The report counts the girth cycles through every edge by one BFS of radius
-d = ⌊g/2⌋ per root r, n BFS in all. Each vertex reached is labelled with
-its branch, the edge at r its unique short path leaves by. A girth cycle
-through r is an edge joining two depth-d vertices of different branches
-(g = 2d+1) or two parents of one depth-d vertex (g = 2d), and adds 1 to
-both branches; any other edge off the BFS tree closes a shorter cycle. The
-counts of an edge from its two ends must agree. Each graph keeps its
-report, and ε of one edge is read from it. The girth cycles are listed by
-a second rooted pass, each once at its least vertex, and must add up to
-the report's ε. The two-path counts at a cubic vertex solve a linear
-system over the report's ε, and the partition facts read ε from it too.
-`_ball` serves only the distance partitions, which intersect the balls
-around two vertices.
+- `_shortest_cycle`, the girth search, from the core vertices of degree
+  >= 3 and once over each core component. It stays a pass of its own:
+  `girth()` stays linear on forests and long cycles, and the count's
+  checks for shorter cycles could not test a girth that they had found.
+- `_rooted_epsilon`, the report's count: one BFS of radius d = ⌊g/2⌋ per
+  root r. A girth cycle through r is an edge joining two depth-d vertices
+  of different branches (g = 2d+1) or two parents of one depth-d vertex
+  (g = 2d), and adds 1 to both branches; any other non-tree edge closes a
+  shorter cycle. The counts of an edge from its two ends must agree. Each
+  graph keeps its report, and ε of one edge is read from it.
+- `_least_vertex_cycles`, a second rooted pass, lists each girth cycle
+  once at its least vertex; they must add up to the report's ε.
+- `_partition` intersects the balls of radius d + 1 around two vertices.
+
+The two-path counts at a cubic vertex solve a linear system over the
+report's ε, and the partition facts read ε from it too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from .multigraph import Arc, MultiGraph, _is_int
 
-Ball = dict[int, int]
+# each vertex's depth stamp, parent, tree edge and branch, indexed by vertex
+Marks = tuple[Any, Any, Any, Any]
 
 
-def _ball(g: MultiGraph, src: int, d: int) -> Ball:
-    """The vertices within distance d of src, each mapped to its distance.
-    Loops never shorten a distance."""
-    ball: Ball = {src: 0}
-    frontier = [src]
-    neighbors = g.neighbors
-    for dist in range(1, d + 1):
-        nxt = []
-        for x in frontier:
-            for y, _ in neighbors(x):
-                if y not in ball:
-                    ball[y] = dist
-                    nxt.append(y)
-        frontier = nxt
-    return ball
+def _marks(n: int) -> Marks:
+    """Marks for a pass over many roots, none of 0..n-1 stamped yet."""
+    return [-1] * n, [-1] * n, [None] * n, [None] * n
+
+
+def _bfs(
+    adj: Sequence[Sequence[tuple[int, int]]], root: int, length: int, marks: Marks, base: int, low: int = 0
+) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The one layered BFS of this module, from root over the vertices
+    >= low. It reaches depth ⌊length/2⌋ and scans the edges of each vertex
+    reached below depth length/2, so every cycle through root of at most
+    `length` edges closes at a non-tree edge that it meets. Each vertex
+    reached gets, in `marks`, its depth stamp base + depth and, below the
+    root, its parent, its tree edge and its branch, the edge at root that
+    its tree path leaves by. Stamps below base read as unreached: each
+    root of a pass gets a base above all earlier stamps, so the marks are
+    never reset. Returns the vertices reached, in BFS order, and the
+    non-tree edges (v, w, edge id) in the order met, once from each
+    scanned end v."""
+    depth, parent, up, branch = marks
+    depth[root], up[root] = base, None
+    far, scan = base + length // 2, base + (length - 1) // 2
+    order, cross = [root], []
+    for v in order:  # the loop also visits what it appends
+        dv = depth[v]
+        if dv > scan:
+            break
+        tree, grow = up[v], dv < far
+        b = branch[v] if dv > base else None  # at the root each edge starts a branch
+        for w, eid in adj[v]:
+            if eid == tree or w < low:
+                continue
+            if depth[w] >= base:
+                cross.append((v, w, eid))
+            elif grow:
+                depth[w], parent[w] = dv + 1, v
+                up[w], branch[w] = eid, eid if b is None else b
+                order.append(w)
+    return order, cross
 
 
 # --- girth ---
@@ -57,69 +90,55 @@ def girth(g: MultiGraph) -> int | None:
 
 def _shortest_cycle(g: MultiGraph) -> int | None:
     """Loops give girth 1 and a parallel pair girth 2; otherwise the girth
-    of the simple graph via rooted BFS over its 2-core, each cut off at
-    half the best cycle found so far. Only core vertices of degree >= 3
-    are roots: a cycle through none of them is a whole core component,
-    a bare cycle as long as its vertex count.
+    of the simple graph via rooted BFS over its 2-core, each cut off below
+    the best cycle found so far; before the first, from 3 edges, doubled
+    until one shows. Only core vertices of degree >= 3 are roots: a cycle
+    through none of them is a whole core component, a bare cycle as long
+    as its vertex count. When every vertex is a root, each BFS runs over
+    the vertices above its root: a shortest cycle shows from its least
+    vertex.
     """
     if g.has_loops:
         return 1
     if g.has_parallel_edges:
         return 2
-    neighbors = g.neighbors
-    roots: Iterable[int] = range(g.n)
-    best: int | None = None
+    n, adj = g.n, g._adj
+    depth, _, _, _ = marks = _marks(n)
+    roots: Iterable[int] = range(n)
+    above, best = True, None
     if min(g.degrees, default=3) < 3:
         # peel vertices of degree <= 1: no cycle passes through them
         deg = list(g.degrees)
         gone = [d <= 1 for d in deg]
         stack = [v for v, out in enumerate(gone) if out]
         while stack:
-            for w, _ in neighbors(stack.pop()):
+            for w, _ in adj[stack.pop()]:
                 if not gone[w]:
                     deg[w] -= 1
                     if deg[w] <= 1:
                         gone[w] = True
                         stack.append(w)
-        adj = [tuple(p for p in neighbors(v) if not gone[p[0]]) for v in range(g.n)]
-        neighbors = adj.__getitem__
-        roots = [v for v in range(g.n) if not gone[v] and deg[v] >= 3]
-        seen = gone[:]
-        for s in range(g.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            for v in comp:  # the loop also visits what it appends
-                for w, _ in neighbors(v):
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-            if all(deg[v] == 2 for v in comp) and (best is None or len(comp) < best):
-                best = len(comp)
-    # reset after each root, so that a BFS costs only what it visits
-    dist = [-1] * g.n
-    up: list[int | None] = [None] * g.n  # the tree edge to the BFS parent
+        adj = [tuple(p for p in nbrs if not gone[p[0]]) for nbrs in adj]
+        roots = [v for v in range(n) if not gone[v] and deg[v] >= 3]
+        above = False
+        for s in range(n):
+            if not gone[s] and depth[s] < 0:  # a core component not scanned yet
+                comp, _ = _bfs(adj, s, 2 * n, marks, 0)
+                if all(deg[v] == 2 for v in comp) and (best is None or len(comp) < best):
+                    best = len(comp)
+    base = n  # above the component scans' stamps
     for root in roots:
-        dist[root], up[root] = 0, None
-        queue = [root]
-        for v in queue:  # the loop also visits what it appends
-            dv = dist[v]
-            if best is not None and 2 * dv + 1 >= best:
+        length = 3 if best is None else best - 1
+        while True:
+            _, cross = _bfs(adj, root, length, marks, base, root if above else 0)
+            for v, w, _ in cross:  # a closed walk through the root
+                cand = depth[v] + depth[w] + 1 - 2 * base
+                if best is None or cand < best:
+                    best = cand
+            base += length // 2 + 1
+            if best is not None or length >= 2 * n:
                 break
-            for w, eid in neighbors(v):
-                if eid == up[v]:
-                    continue
-                if dist[w] < 0:
-                    dist[w], up[w] = dv + 1, eid
-                    queue.append(w)
-                else:
-                    # non-tree edge: closed walk through the root
-                    cand = dv + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
-        for v in queue:
-            dist[v] = -1
+            length *= 2
         if best == 3:
             break
     return best
@@ -139,49 +158,32 @@ def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
     if gir <= 2:  # a loop is its own cycle; a parallel pair is one
         mult = Counter(e.ends for e in g.edges)
         return {e.id: int(e.is_loop) if gir == 1 else mult[e.ends] - 1 for e in g.edges}
-    d, odd = gir // 2, gir % 2
-    neighbors = g.neighbors
-    eps = dict.fromkeys((e.id for e in g.edges), 0)
-    # depth i from root r is marked r·(d + 1) + i, so earlier roots' marks read as unseen
-    dist, up, branch = [-1] * g.n, [-1] * g.n, [0] * g.n  # up: the tree edge to the parent
-    for r in range(g.n):
-        base, nbrs = r * (d + 1), neighbors(r)
-        counts, far = [0] * len(nbrs), base + d
-        dist[r], layer = base, [w for w, _ in nbrs]
-        for b, (w, eid) in enumerate(nbrs):
-            dist[w], up[w], branch[w] = base + 1, eid, b
+    d, even, adj = gir // 2, gir % 2 == 0, g._adj
+    eps = dict.fromkeys(g._by_id, 0)
+    depth, _, _, branch = marks = _marks(g.n)
+    for r, nbrs in enumerate(adj):
+        base = r * (d + 1)  # depth i from r is stamped r·(d + 1) + i
+        far = base + d
+        _, cross = _bfs(adj, r, gir, marks, base)
+        counts: dict[int, int] = {}  # by branch
         parents: dict[int, set[int]] = {}  # the branches of depth-d vertices' parents
-        for at in range(base + 2, far + 1):
-            nxt = []
-            for v in layer:
-                b, tree = branch[v], up[v]
-                for w, eid in neighbors(v):
-                    if eid == tree:
-                        continue
-                    if dist[w] < base:
-                        dist[w], up[w], branch[w] = at, eid, b
-                        nxt.append(w)
-                    elif (dist[w] == at == far and not odd
-                          and b not in parents.setdefault(w, {branch[w]})):
-                        parents[w].add(b)
-                    else:
-                        raise GirthInvariantViolation(
-                            f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
-                        )
-            layer = nxt
-        for x in layer if odd else ():  # each edge across layer d, seen from both ends
-            b = branch[x]
-            for y, eid in neighbors(x):
-                if dist[y] == far:
-                    if branch[y] == b:
-                        raise GirthInvariantViolation(
-                            f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
-                        )
-                    counts[b] += 1
+        for v, w, eid in cross:
+            dv, dw = depth[v], depth[w]
+            b, c = branch[v], branch[w]
+            if dv == dw == far and b != c:  # across layer d, seen from both ends
+                counts[b] = counts.get(b, 0) + 1
+            elif even and dw == far == dv + 1 and b not in (bs := parents.setdefault(w, {c})):
+                bs.add(b)
+            else:
+                raise GirthInvariantViolation(
+                    f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
+                )
         for bs in parents.values():
+            k = len(bs) - 1
             for b in bs:
-                counts[b] += len(bs) - 1
-        for (w, eid), c in zip(nbrs, counts):
+                counts[b] = counts.get(b, 0) + k
+        for w, eid in nbrs:
+            c = counts.get(eid, 0)
             if w > r:
                 eps[eid] = c
             elif eps[eid] != c:
@@ -226,7 +228,7 @@ def girth_report(g: MultiGraph) -> GirthReport:
                 f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
             )
         signatures: dict[int, tuple[int, ...]] = {}
-        for v, nbrs in enumerate(map(g.neighbors, range(g.n))):
+        for v, nbrs in enumerate(g._adj):
             incident = [eps[eid] for _, eid in nbrs]
             if g.has_loops:
                 incident += [eps[eid] for w, eid in nbrs if w == v]  # a loop counts twice
@@ -255,10 +257,8 @@ def _least_vertex_cycles(g: MultiGraph) -> list[list[Arc]]:
     two tree paths leave r by different edges, or the report's count would
     have met a shorter cycle. The cycles must add up to the report's ε."""
     report = girth_report(g)
-    d, neighbors = report.girth // 2, g.neighbors
-    # depth i from root r is marked r·(d + 1) + i, so earlier roots' marks read as unseen
-    dist, parent = [-1] * g.n, [0] * g.n
-    up: list[int | None] = [None] * g.n  # the tree edge to the parent
+    gir, d, adj = report.girth, report.girth // 2, g._adj
+    depth, parent, up, _ = marks = _marks(g.n)
     walks: list[list[Arc]] = []
 
     def walk(x: int, across: list[tuple[int, int, int]], y: int) -> list[Arc]:
@@ -274,27 +274,17 @@ def _least_vertex_cycles(g: MultiGraph) -> list[list[Arc]]:
         return [Arc(t, eid, int(t > w)) for t, eid, w in [*reversed(rise), *across, *fall]]
 
     for r in range(g.n):
-        base, far = r * (d + 1), r * (d + 1) + d
-        dist[r], up[r], layer = base, None, [r]
+        base = r * (d + 1)  # depth i from r is stamped r·(d + 1) + i
+        far = base + d
+        _, cross = _bfs(adj, r, gir, marks, base, r)
         more: dict[int, list[tuple[int, int]]] = {}  # depth-d vertices' other parents
-        for at in range(base + 1, far + 1):
-            nxt = []
-            for v in layer:
-                tree = up[v]
-                for w, eid in neighbors(v):
-                    if w < r or eid == tree:
-                        continue
-                    if dist[w] < base:
-                        dist[w], up[w], parent[w] = at, eid, v
-                        nxt.append(w)
-                    elif dist[w] == far:
-                        more.setdefault(w, []).append((v, eid))
-            layer = nxt
-        if report.girth % 2:
-            for x in layer:
-                for y, eid in neighbors(x):
-                    if y >= x and dist[y] == far:
-                        walks.append(walk(x, [(x, eid, y)], y))
+        for x, y, eid in cross:
+            dx, dy = depth[x], depth[y]
+            if dx == dy == far:
+                if y >= x:
+                    walks.append(walk(x, [(x, eid, y)], y))
+            elif dy == far == dx + 1:
+                more.setdefault(y, []).append((x, eid))
         for w, others in more.items():
             ps = [(parent[w], up[w]), *others]
             for i, (p, e) in enumerate(ps):
@@ -331,12 +321,14 @@ class DistancePartition(NamedTuple):
 
 def _partition(g: MultiGraph, u: int, anchor: int, gir: int) -> DistancePartition:
     d = gir // 2
-    bu, ba = _ball(g, u, d + 1), _ball(g, anchor, d + 1)
+    # the balls of radius d + 1 around anchor and u; no list of n to fill:
+    # a vertex never stamped reads 0, below both bases
+    depth, _, _, _ = marks = (defaultdict(int), {}, {}, {})
+    near = {x: depth[x] - 1 for x in _bfs(g._adj, anchor, 2 * d + 2, marks, 1)[0]}
     cells: dict[tuple[int, int], set[int]] = {}
-    for x, i in bu.items():
-        j = ba.get(x)
-        if j is not None:
-            cells.setdefault((i, j), set()).add(x)
+    for x in _bfs(g._adj, u, 2 * d + 2, marks, d + 3)[0]:
+        if x in near:
+            cells.setdefault((depth[x] - d - 3, near[x]), set()).add(x)
     frozen = {ij: frozenset(s) for ij, s in cells.items()}
     return DistancePartition((u, anchor), d, frozen)
 

@@ -163,14 +163,10 @@ class MultiGraph:
 
     def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
         """(neighbor, edge id) pairs; a loop at v appears once. NotAVertex
-        if v is not in 0..n-1."""
-        # every BFS calls this per vertex: indexing alone catches v >= n
-        if v >= 0:
-            try:
-                return self._adj[v]
-            except IndexError:
-                pass
-        raise self._no_vertex(v)
+        if v is not a vertex id."""
+        if (type(v) is not int and not _is_int(v)) or not 0 <= v < self._n:
+            raise self._no_vertex(v)
+        return self._adj[v]
 
     # --- structure predicates ---
 
@@ -238,14 +234,18 @@ class MultiGraph:
         return table
 
     def _arc_indices(self, arcs: Iterable[Arc]) -> list[int]:
-        """The position of each arc in the arc table, or -1 for one that is
-        not an arc of this graph."""
+        """The position of each arc in the arc table, or -1 for an item that
+        is not an arc of this graph, such as one that does not unpack to
+        (tail, edge, end)."""
         table = self._arc_table()
         position, known = table.position, table.arcs
         out = []
         for a in arcs:
-            _, eid, end = a  # unpacking reads a named tuple's fields fastest
-            p = position.get(2 * eid + end, -1)
+            try:
+                _, eid, end = a  # unpacking reads a named tuple's fields fastest
+                p = position.get(2 * eid + end, -1)
+            except (TypeError, ValueError):
+                p = -1
             out.append(p if p >= 0 and (known[p] is a or known[p] == a) else -1)
         return out
 

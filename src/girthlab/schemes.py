@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
 from .girth import _least_vertex_cycles, girth_report
-from .multigraph import Arc, MultiGraph
+from .multigraph import Arc, MultiGraph, _is_int
 
 
 T = TypeVar("T")
@@ -39,15 +39,21 @@ class DihedralScheme(NamedTuple):
             cyc = tuple(cyc)
             if len(cyc) < 3:
                 raise InvalidScheme(f"rotation cycle of length {len(cyc)} < 3")
+            # positions first: an item that is neither an arc of base nor an
+            # Arc of ints has no tail to read
+            ps = base._arc_indices(cyc)
+            if -1 in ps:
+                for p, a in zip(ps, cyc):
+                    if p < 0 and not (isinstance(a, Arc) and all(map(_is_int, a))):
+                        raise InvalidScheme(f"rotation item {a!r} is not an arc")
             tails = {tail for tail, _, _ in cyc}
             if len(tails) != 1:
                 raise InvalidScheme(f"rotation mixes vertices {sorted(tails)}")
-            v = cyc[0].tail
+            [v] = tails
             if v in by_vertex:
                 raise InvalidScheme(f"two rotation cycles at vertex {v}")
             # table positions are in arc order, so normalizing the positions
             # picks the rotation that normalizing the arcs would
-            ps = base._arc_indices(cyc)
             if not 0 <= v < base.n or sorted(ps) != list(range(start[v], start[v + 1])):
                 raise InvalidScheme(
                     f"rotation at vertex {v} does not list out({v}) exactly once"

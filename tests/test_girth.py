@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib
 import random
 import time
@@ -491,11 +492,8 @@ def test_rooted_count_rejects_shorter_cycles(g, wrong_girth, message):
 def test_rooted_count_compares_both_ends():
     # K4 whose vertex 0 does not list its edge to vertex 3: counted from
     # vertex 0 the edge lies on no triangle, from vertex 3 on two
-    class OneSided(MultiGraph):
-        def neighbors(self, v):
-            return tuple(p for p in super().neighbors(v) if (v, p[0]) != (0, 3))
-
-    g = OneSided(4, list(enumerate([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+    g = families.complete(4)
+    g._adj = tuple(tuple(p for p in nbrs if (v, p[0]) != (0, 3)) for v, nbrs in enumerate(g._adj))
     with pytest.raises(GirthInvariantViolation, match="edge 2 lies on 0 girth cycles counted"
                        " from vertex 0 but on 2 counted from vertex 3"):
         _rooted_epsilon(g, 3)
@@ -675,9 +673,23 @@ def test_cycle_vertex_order_orientation():
         _assert_closed_walks(g, walks, rep.girth)
 
 
+def test_report_and_listing_bytes_on_multigraphs():
+    # the exact report, and the walk and list order of the girth cycles,
+    # on loops, parallel edges, disconnected and subdivided graphs:
+    # decompose_011 numbers its base vertices in the listing's order
+    rng = random.Random(17)
+    graphs = [*RANDOM_GRAPHS, THETA, TWO_LOOPS, *(_subdivided(rng, g) for g in RANDOM_GRAPHS[::6])]
+    digest = hashlib.sha256()
+    for g in map(_fresh, graphs):
+        found = (girth_report(g), _least_vertex_cycles(g)) if girth(g) else None
+        digest.update(repr(found).encode())
+    assert digest.hexdigest() == "b9a40a51cb2b5c3c71821ce007ac48ca54684b29595efac8e119d38e7f5e96d5"
+
+
 def test_decompositions_list_each_girth_cycle_once(monkeypatch):
     # a decomposition runs one listing pass, and no girth search or rooted
-    # count when the graph keeps its report; a new graph gets one of each
+    # count when the graph keeps its report; a new graph gets one of each.
+    # All of them, and the distance partitions, run one BFS routine.
     mod = importlib.import_module("girthlab.girth")
     calls = {"_least_vertex_cycles": [], "_rooted_epsilon": [], "girth": []}
 
@@ -710,6 +722,26 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
             decompose(g)
             assert [len(calls[name]) for name in calls] == [1, int(fresh), int(fresh)], calls
             assert len(calls["_least_vertex_cycles"][0]) == rep.cycle_count
+
+    roots: list[int] = []
+    bfs = mod._bfs
+    monkeypatch.setattr(mod, "_bfs", lambda adj, root, *rest: roots.append(root) or bfs(adj, root, *rest))
+    # the search scans each core component once, from its least vertex,
+    # then runs from each core vertex of degree >= 3: the Petersen graph
+    # with a pendant vertex at 3, beside a bare 7-cycle
+    pairs = [e.ends for e in families.petersen().edges] + [(10 + i, 10 + (i + 1) % 7) for i in range(7)]
+    assert girth(from_edge_list(18, pairs + [(3, 17)])) == 5
+    assert roots == [0, 10, *range(10)]
+    g = _fresh(families.prism(8))
+    for run, want in (
+        (girth, [0, *range(16)]),  # every vertex; 0 first finds no triangle
+        (girth_report, list(range(16))),  # the rooted count, once per vertex
+        (girth_cycles, list(range(16))),
+        (lambda g: distance_partition(g, 0, 1), [1, 0]),
+    ):
+        roots.clear()
+        run(g)
+        assert roots == want, run
 
 
 @pytest.mark.parametrize("delta", [1, -1])

@@ -127,6 +127,15 @@ def test_closed_walk_rejects_arcs_foreign_to_the_graph():
         build_map(relabelled, walks_of_girth_cycles(k4))
 
 
+def test_walk_items_that_are_not_arcs_are_rejected():
+    k4 = families.complete(4)
+    for walk in ([1, 2, 3], [(0, 0), (1, 3), (2, 1)]):
+        with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
+            ClosedWalk.from_arcs(k4, walk)
+        with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
+            build_map(k4, [walk, *walks_of_girth_cycles(k4)])
+
+
 def test_walks_not_inducing_dihedral_rejected():
     # four parallel edges, each 2-gon walk doubled: coverage is fine but
     # every arc then sees a single partner twice

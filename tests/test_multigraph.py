@@ -174,9 +174,9 @@ def test_foreign_edge_ids_and_vertices_are_rejected():
     for query in (empty.degree, empty.neighbors, empty.out_arcs):
         with pytest.raises(NotAVertex):
             query(0)
-    # True would answer for vertex or edge 1; neighbors is left unchecked
-    for x in (True, "1", 1.0):
-        for query in (p.degree, p.out_arcs):
+    # True would answer for vertex or edge 1
+    for x in (True, False, "1", 1.0, None):
+        for query in (p.degree, p.neighbors, p.out_arcs):
             with pytest.raises(NotAVertex, match="no vertex"):
                 query(x)
         with pytest.raises(NotAnEdge, match="no edge has id"):

@@ -103,6 +103,17 @@ def test_scheme_validation_rejects_foreign_arcs():
         DihedralScheme.from_rotations(g, beyond)
 
 
+def test_rotation_items_that_are_not_arcs_are_rejected():
+    g = families.complete(4)
+    rest = [g.out_arcs(v) for v in (1, 2, 3)]
+    for rotation in ([1, 2, 3], [(0, 0), (0, 1), (0, 2)], [Arc("0", 0, 0), *g.out_arcs(0)[1:]]):
+        with pytest.raises(InvalidScheme, match="is not an arc"):
+            DihedralScheme.from_rotations(g, [rotation, *rest])
+    # a plain tuple equal to an arc of the base is that arc
+    plain = [tuple(a) for a in g.out_arcs(0)]
+    assert DihedralScheme.from_rotations(g, [plain, *rest]) == DihedralScheme.from_rotations(g, [g.out_arcs(0), *rest])
+
+
 def test_valence_two_rejected():
     sq = families.cycle(4)
     with pytest.raises(InvalidScheme):
