@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import families
 from .codec import (
+    graph6_chunks,
     parse_graph6,
     read_multigraph_json_full,
-    write_graph6,
     write_multigraph_json,
     write_sparse6,
 )
@@ -207,7 +207,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.format in ("json", "json-array"):
         print(json.dumps(write_multigraph_json(g), separators=(",", ":")))
     elif g.is_simple:
-        print(write_graph6(g))
+        sys.stdout.writelines(graph6_chunks(g))
     else:
         print(write_sparse6(g))
     return 0
@@ -222,8 +222,8 @@ def cmd_truncate(args: argparse.Namespace) -> int:
             try:
                 if scheme is None:
                     scheme = unique_cubic_scheme(g)
-                result = truncate(scheme)
-                print(write_graph6(result.graph))
+                # every check runs before the first piece is written
+                sys.stdout.writelines(graph6_chunks(truncate(scheme).graph))
                 continue
             except GirthLabError as exc:
                 g = exc

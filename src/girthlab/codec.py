@@ -3,13 +3,18 @@
 graph6 carries simple graphs only; sparse6 and the JSON format carry loops
 and parallel edges. Both text formats follow the published byte layout
 (printable characters 63..126, 6 bits per byte).
+
+A graph6 line has a ⌈n(n−1)/12⌉-byte body, so `graph6_chunks` makes it in
+pieces of at most 64 KiB: a writer holds O(n + m) memory plus one piece,
+never the line. The readers still take the whole line.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import compress
-from typing import Any, TYPE_CHECKING
+from typing import Any, Iterator, TYPE_CHECKING
 
 from .errors import (
     MalformedEncoding,
@@ -116,17 +121,41 @@ def parse_graph6(text: str, cap: int = DEFAULT_PARSE_CAP) -> MultiGraph:
     return MultiGraph(n, enumerate(pairs))
 
 
-def write_graph6(g: MultiGraph) -> str:
-    """Canonical graph6 line under the graph's current vertex order."""
+_CHUNK = 1 << 16  # body bytes per piece of a graph6 line
+
+
+def graph6_chunks(g: MultiGraph) -> Iterator[str]:
+    """The canonical graph6 line under the graph's current vertex order,
+    newline included, as the header, body pieces of at most _CHUNK bytes,
+    and "\\n". Every check runs before this returns, so no error can cut
+    a line short."""
     if not g.is_simple:
         raise NotSimple("graph6 cannot carry loops or parallel edges")
     n = g.n
-    body = bytearray((n * (n - 1) // 2 + 5) // 6)
-    for e in g.edges:
-        u, v = e.ends
-        p = v * (v - 1) // 2 + u
-        body[p // 6] |= 32 >> (p % 6)
-    return (_encode_n(n) + body.translate(_UP)).decode("ascii")
+    header = _encode_n(n).decode("ascii")
+    # bit p holds the pair (u, v), u < v, with p = v(v-1)/2 + u
+    bits = sorted([v * (v - 1) // 2 + u for u, v in (e.ends for e in g.edges)])
+    size = (n * (n - 1) // 2 + 5) // 6
+
+    def pieces() -> Iterator[str]:
+        yield header
+        k = 0
+        for start in range(0, size, _CHUNK):
+            stop = min(start + _CHUNK, size)
+            chunk = bytearray(b"?") * (stop - start)  # 63: no bits set
+            j = bisect_left(bits, 6 * stop, k)
+            for p in bits[k:j]:  # distinct, so adding sets each bit
+                chunk[p // 6 - start] += 32 >> (p % 6)
+            k = j
+            yield chunk.decode("ascii")
+        yield "\n"
+
+    return pieces()
+
+
+def write_graph6(g: MultiGraph) -> str:
+    """Canonical graph6 line under the graph's current vertex order."""
+    return "".join(graph6_chunks(g))[:-1]
 
 
 # --- sparse6 ---

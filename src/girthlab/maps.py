@@ -42,7 +42,10 @@ class ClosedWalk:
 
     @classmethod
     def from_arcs(cls, g: MultiGraph, arcs: Sequence[Arc]) -> "ClosedWalk":
-        arcs = tuple(arcs)
+        try:
+            arcs = tuple(arcs)
+        except TypeError:
+            raise EdgeCoverageViolation(f"walk {arcs!r} is not a sequence of arcs") from None
         if not arcs:
             raise EdgeCoverageViolation("empty walk")
         ps = g._arc_indices(arcs)
@@ -104,6 +107,10 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
         raise Disconnected("map skeleton must be connected")
     normalized: list[ClosedWalk] = []
     positions: list[list[int]] = []  # each walk's arcs in g's arc table
+    try:
+        walks = iter(walks)
+    except TypeError:
+        raise EdgeCoverageViolation(f"walks {walks!r} are not a sequence of walks") from None
     for w in walks:
         w = w if isinstance(w, ClosedWalk) else ClosedWalk.from_arcs(g, w)
         ps = g._arc_indices(w.arcs)

@@ -236,17 +236,22 @@ class MultiGraph:
     def _arc_indices(self, arcs: Iterable[Arc]) -> list[int]:
         """The position of each arc in the arc table, or -1 for an item that
         is not an arc of this graph, such as one that does not unpack to
-        (tail, edge, end)."""
+        (tail, edge, end) or has a field that is not an int (0.0 and True
+        equal ints, but name no arc)."""
         table = self._arc_table()
         position, known = table.position, table.arcs
         out = []
         for a in arcs:
             try:
-                _, eid, end = a  # unpacking reads a named tuple's fields fastest
+                tail, eid, end = a  # unpacking reads a named tuple's fields fastest
                 p = position.get(2 * eid + end, -1)
             except (TypeError, ValueError):
                 p = -1
-            out.append(p if p >= 0 and (known[p] is a or known[p] == a) else -1)
+            if p >= 0 and known[p] is not a and not (
+                known[p] == a and all(map(_is_int, (tail, eid, end)))
+            ):
+                p = -1
+            out.append(p)
         return out
 
     def arcs_of_edge(self, eid: int) -> tuple[Arc, Arc]:

@@ -35,8 +35,15 @@ class DihedralScheme(NamedTuple):
         """Validate and normalize one rotation cycle per vertex."""
         arcs, start, _, _ = base._arc_table()
         by_vertex: dict[int, tuple[Arc, ...]] = {}
-        for cyc in rotations:
-            cyc = tuple(cyc)
+        try:
+            cycles = iter(rotations)
+        except TypeError:
+            raise InvalidScheme(f"rotations {rotations!r} are not a sequence of cycles") from None
+        for cyc in cycles:
+            try:
+                cyc = tuple(cyc)
+            except TypeError:
+                raise InvalidScheme(f"rotation {cyc!r} is not a sequence of arcs") from None
             if len(cyc) < 3:
                 raise InvalidScheme(f"rotation cycle of length {len(cyc)} < 3")
             # positions first: an item that is neither an arc of base nor an

@@ -12,7 +12,7 @@ import pytest
 import girthlab
 from girthlab import families
 from girthlab.cli import main
-from girthlab.codec import write_graph6, write_multigraph_json
+from girthlab.codec import write_graph6, write_multigraph_json, write_sparse6
 from girthlab.corpus import CUBIC_LE14
 
 CORPUS = str(files("girthlab.data").joinpath(CUBIC_LE14))
@@ -477,17 +477,51 @@ def _cli_process(argv, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "command", [["analyze"], ["verify", "--format", "json"], ["decompose", "--mode", "112"]]
+    "command",
+    [["analyze"], ["verify", "--format", "json"], ["decompose", "--mode", "112"], ["truncate"]],
 )
 def test_a_reader_that_closes_the_pipe_gets_no_traceback(command, tmp_path):
-    p = tmp_path / "corpus.g6"
-    p.write_text(Path(CORPUS).read_text() * 4)  # more output than a pipe holds
+    p = tmp_path / "input"
+    if command == ["truncate"]:
+        # one 750 KB graph6 line, written in pieces; the reader leaves inside it
+        p.write_text(write_sparse6(families.prism(500)) + "\n")
+    else:
+        p.write_text(Path(CORPUS).read_text() * 4)  # more output than a pipe holds
     proc = _cli_process([*command, p], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline()
+    if command == ["truncate"]:
+        assert b"\n" not in proc.stdout.read(4096)
+    else:
+        assert proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert err == b""
     assert proc.returncode == 1
+
+
+PEAK_RSS_OF_CHILD = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "girthlab.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB, as Linux reports it")
+def test_truncate_memory_does_not_grow_with_the_line(tmp_path):
+    # prism(2500) truncates to 15 000 vertices: an 18.7 MB graph6 line.
+    # Linux adds the peak of the process that exec'd a child to the
+    # child's ru_maxrss, so the CLI starts from a small interpreter.
+    p = tmp_path / "prism.s6"
+    p.write_text(write_sparse6(families.prism(2500)) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(girthlab.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_OF_CHILD, "truncate", str(p)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kib < 60 * 1024  # holding the line once would add 18.7 MB
 
 
 def test_a_pipe_closed_before_the_first_flush_gets_no_traceback(petersen_file):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from girthlab import families
+from girthlab import codec, families
 from girthlab.codec import (
+    graph6_chunks,
     parse_graph6,
     read_multigraph_json,
     read_multigraph_json_full,
@@ -150,18 +151,45 @@ def _ends(g: MultiGraph) -> list[tuple[int, ...]]:
     return sorted(e.ends for e in g.edges)
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 62, 63, 64, 200, 500])
-def test_graph6_bytes_match_the_definition(n):
+def _graphs_of_each_density(n: int) -> list[MultiGraph]:
     rng = random.Random(1000 + n)
+    graphs = []
     for density in (0.0, 0.02, 0.3, 1.0):
         pairs = [(i, j) for j in range(n) for i in range(j) if rng.random() < density]
         rng.shuffle(pairs)  # edge ids in random order
-        g = from_edge_list(n, pairs)
+        graphs.append(from_edge_list(n, pairs))
+    return graphs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 62, 63, 64, 200, 500])
+def test_graph6_bytes_match_the_definition(n):
+    for g in _graphs_of_each_density(n):
         line = write_graph6(g)
         assert line == naive_graph6_line(g)
         h = parse_graph6(line)
         assert h.n == n and _ends(h) == _ends(g)
         assert graph6_bits_reader(line) == (n, sorted(_ends(g), key=lambda p: (p[1], p[0])))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 7, 62, 63, 64, 200])
+def test_graph6_bytes_match_the_definition_in_small_chunks(n, monkeypatch):
+    # bits fall on every boundary between the pieces of the body; the
+    # lines made in one piece are checked against the definition above
+    graphs = _graphs_of_each_density(n)
+    lines = [write_graph6(g) for g in graphs]
+    for chunk in (1, 7):
+        monkeypatch.setattr(codec, "_CHUNK", chunk)
+        for g, line in zip(graphs, lines):
+            header, *body, newline = graph6_chunks(g)
+            assert header + "".join(body) == line and newline == "\n"
+            assert [len(piece) for piece in body[:-1]] == [chunk] * (len(body) - 1)
+            assert all(0 < len(piece) <= chunk for piece in body)
+
+
+def test_graph6_checks_run_before_the_first_piece():
+    loop = MultiGraph(1, [(0, (0,))])
+    with pytest.raises(NotSimple):
+        graph6_chunks(loop)  # raised by the call, not by the first next()
 
 
 def _random_multigraph(rng: random.Random, n: int, top: int) -> MultiGraph:

@@ -134,6 +134,15 @@ def test_walk_items_that_are_not_arcs_are_rejected():
             ClosedWalk.from_arcs(k4, walk)
         with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
             build_map(k4, [walk, *walks_of_girth_cycles(k4)])
+    # a walk, or the list of walks, that is not iterable at all
+    for call in (lambda: ClosedWalk.from_arcs(k4, 5), lambda: build_map(k4, [5]),
+                 lambda: build_map(k4, 5)):
+        with pytest.raises(EdgeCoverageViolation, match="not a sequence"):
+            call()
+    # a field that equals an int but is not one names no arc
+    for item in ((0, 0.0, 0), (0.0, 0, 0), (0, True, 0)):
+        with pytest.raises(EdgeCoverageViolation, match="is not an arc of the graph"):
+            ClosedWalk.from_arcs(k4, [item, (1, 3, 0), (2, 1, 1)])
 
 
 def test_walks_not_inducing_dihedral_rejected():

@@ -181,6 +181,13 @@ def test_foreign_edge_ids_and_vertices_are_rejected():
                 query(x)
         with pytest.raises(NotAnEdge, match="no edge has id"):
             p.edge(x)
+    # a field equal to an int but not one: 0.0 and True would find an arc
+    k4 = families.complete(4)
+    for arc in ((0, 0.0, 0), (0.0, 0, 0), (0, True, 0), (0, 0, False), Arc(0, 0.0, 0)):
+        for query in (k4.inverse, k4.arc_head):
+            with pytest.raises(NotAnArc):
+                query(arc)
+    assert k4.inverse((0, 0, 0)) == Arc(1, 0, 1)
 
 
 def test_edges_given_out_of_id_order_are_stored_in_id_order():

@@ -109,6 +109,10 @@ def test_rotation_items_that_are_not_arcs_are_rejected():
     for rotation in ([1, 2, 3], [(0, 0), (0, 1), (0, 2)], [Arc("0", 0, 0), *g.out_arcs(0)[1:]]):
         with pytest.raises(InvalidScheme, match="is not an arc"):
             DihedralScheme.from_rotations(g, [rotation, *rest])
+    # a rotation, or the list of rotations, that is not iterable at all
+    for rotations in ([5, *rest], 5):
+        with pytest.raises(InvalidScheme, match="not a sequence"):
+            DihedralScheme.from_rotations(g, rotations)
     # a plain tuple equal to an arc of the base is that arc
     plain = [tuple(a) for a in g.out_arcs(0)]
     assert DihedralScheme.from_rotations(g, [plain, *rest]) == DihedralScheme.from_rotations(g, [g.out_arcs(0), *rest])
