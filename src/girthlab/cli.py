@@ -19,10 +19,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import families
 from .codec import (
+    Lazy,
     graph6_chunks,
+    json_pieces,
+    multigraph_shape,
     parse_graph6,
     read_multigraph_json_full,
-    write_multigraph_json,
     write_sparse6,
 )
 from .errors import GirthLabError, InfiniteGirth
@@ -135,18 +137,21 @@ Record = tuple[str, dict[str, Any]]
 
 def _emit(records: Iterable[Record], fmt: str,
           text_of: Callable[[str, dict[str, Any]], str]) -> None:
-    """Write each record as it arrives; json-array writes the bytes of
-    json.dumps(list) without holding the list."""
+    """Write each record as it arrives, a JSON one in the bounded pieces of
+    `json_pieces`; json-array writes the bytes of json.dumps(list) without
+    holding the list, or any record's tree or whole text."""
+    out = sys.stdout
     if fmt == "json-array":
-        sys.stdout.write("[")
+        out.write("[")
         for k, (gid, doc) in enumerate(records):
             if k:
-                sys.stdout.write(",")
-            sys.stdout.write(json.dumps(dict(doc, id=gid), separators=(",", ":")))
-        print("]")
+                out.write(",")
+            out.writelines(json_pieces(dict(doc, id=gid)))
+        out.write("]\n")
     elif fmt == "json":
         for gid, doc in records:
-            print(json.dumps(dict(doc, id=gid), separators=(",", ":")))
+            out.writelines(json_pieces(dict(doc, id=gid)))
+            out.write("\n")
     else:
         for gid, doc in records:
             print(f"{gid}: ERROR {doc['error']}" if "error" in doc else text_of(gid, doc))
@@ -180,7 +185,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     def work(g: MultiGraph) -> dict[str, Any]:
         try:
-            return girth_report(g).to_json()
+            return girth_report(g).json_shape()
         except InfiniteGirth:
             return {
                 "girth": None,
@@ -205,7 +210,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     spec = families.FamilySpec(args.family, tuple(args.params))
     g = families.generate(spec)
     if args.format in ("json", "json-array"):
-        print(json.dumps(write_multigraph_json(g), separators=(",", ":")))
+        sys.stdout.writelines(json_pieces(multigraph_shape(g)))
+        print()
     elif g.is_simple:
         sys.stdout.writelines(graph6_chunks(g))
     else:
@@ -240,11 +246,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         try:
             if args.mode == "011":
                 lam, scheme = decompose_011(g)
-                return {"mode": "011", "lambda": write_multigraph_json(lam, scheme)}
+                return {"mode": "011", "lambda": multigraph_shape(lam, scheme)}
             if args.mode == "222":
-                return {"mode": "222", "map": map_from_222(g).to_json()}
+                return {"mode": "222", "map": map_from_222(g).json_shape()}
             m, witness = decompose_112(g)
-            return {"mode": "112", "map": m.to_json(), "witness": witness}
+            xy = {k: Lazy(v) for k, v in witness.items()}
+            return {"mode": "112", "map": m.json_shape(), "witness": xy}
         except GirthLabError as exc:
             return {"error": str(exc)}
 

@@ -7,14 +7,19 @@ and parallel edges. Both text formats follow the published byte layout
 A graph6 line has a ⌈n(n−1)/12⌉-byte body, so `graph6_chunks` makes it in
 pieces of at most 64 KiB: a writer holds O(n + m) memory plus one piece,
 never the line. The readers still take the whole line.
+
+JSON records are described once, as dicts whose large parts are `Lazy`
+lists or objects made from the result objects on demand. `json_tree`
+builds the plain dicts from a description, and `json_pieces` writes it in
+bounded pieces, so the CLI never holds a record's tree or whole string.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import compress
-from typing import Any, Iterator, TYPE_CHECKING
+from itertools import compress, islice
+from typing import Any, Callable, Collection, Iterator, TYPE_CHECKING
 
 from .errors import (
     MalformedEncoding,
@@ -230,6 +235,76 @@ def write_sparse6(g: MultiGraph) -> str:
     return ":" + (_encode_n(n) + out.translate(_UP)).decode("ascii")
 
 
+# --- JSON records in pieces ---
+
+_PIECE = 16  # list items or object members per json.dumps call, which holds
+# every token of its piece as a string of its own until it returns
+_SEPARATORS = (",", ":")
+
+
+class Lazy:
+    """A JSON list, or an object when `members` is set, whose items (for
+    an object, (key, value) pairs) are `make` of each element of `source`,
+    made on demand each time it is iterated. The items are plain values."""
+
+    __slots__ = ("source", "make", "members")
+
+    def __init__(self, source: Collection[Any], make: Callable[[Any], Any] | None = None,
+                 members: bool = False):
+        self.source, self.make, self.members = source, make, members
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.source) if self.make is None else map(self.make, self.source)
+
+
+def _is_large(value: Any) -> bool:
+    return isinstance(value, Lazy) or (
+        type(value) is dict and any(map(_is_large, value.values()))
+    )
+
+
+def json_tree(value: Any) -> Any:
+    """The plain dicts and lists that a description stands for."""
+    if isinstance(value, Lazy):
+        return dict(value) if value.members else list(value)
+    if type(value) is dict:
+        return {k: json_tree(v) for k, v in value.items()}
+    return value
+
+
+def json_pieces(value: Any) -> Iterator[str]:
+    """The text of json.dumps(json_tree(value), separators=(",", ":")), as
+    one json.dumps call for a value with no `Lazy` part, else one call per
+    run of plain members, per key before a large member and per _PIECE
+    items of a `Lazy`."""
+    if isinstance(value, Lazy):
+        items, sep = iter(value), ""
+        yield "{" if value.members else "["
+        while batch := list(islice(items, _PIECE)):
+            text = json.dumps(dict(batch) if value.members else batch, separators=_SEPARATORS)
+            yield sep + text[1:-1]
+            sep = ","
+        yield "}" if value.members else "]"
+    elif _is_large(value):  # a dict
+        sep, plain = "{", {}
+        for key, v in value.items():
+            if not _is_large(v):
+                plain[key] = v
+                continue
+            if plain:
+                yield sep + json.dumps(plain, separators=_SEPARATORS)[1:-1]
+                sep, plain = ",", {}
+            yield sep + json.dumps(key) + ":"
+            yield from json_pieces(v)
+            sep = ","
+        yield (sep + json.dumps(plain, separators=_SEPARATORS)[1:-1] if plain else "") + "}"
+    else:
+        yield json.dumps(value, separators=_SEPARATORS)
+
+
 # --- multigraph JSON ---
 
 def _check(cond: bool, msg: str) -> None:
@@ -302,15 +377,22 @@ def arc_ref(arc: Arc) -> dict[str, int]:
     return {"edge": arc.edge, "tail": arc.tail, "end": arc.end}
 
 
+def multigraph_shape(
+    g: MultiGraph, scheme: "DihedralScheme | None" = None
+) -> dict[str, Any]:
+    """The multigraph document, with its edges and scheme left `Lazy`."""
+    doc: dict[str, Any] = {
+        "vertices": g.n,
+        "edges": Lazy(g.edges, lambda e: {"id": e.id, "ends": list(e.ends)}),
+    }
+    if scheme is not None:
+        doc["scheme"] = Lazy(
+            sorted(scheme.rotations), lambda v: [arc_ref(a) for a in scheme.rotation(v)]
+        )
+    return doc
+
+
 def write_multigraph_json(
     g: MultiGraph, scheme: "DihedralScheme | None" = None
 ) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "vertices": g.n,
-        "edges": [{"id": e.id, "ends": list(e.ends)} for e in g.edges],
-    }
-    if scheme is not None:
-        doc["scheme"] = [
-            [arc_ref(a) for a in scheme.rotation(v)] for v in sorted(scheme.rotations)
-        ]
-    return doc
+    return json_tree(multigraph_shape(g, scheme))

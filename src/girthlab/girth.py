@@ -30,6 +30,7 @@ from collections import Counter, defaultdict
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
+from .codec import Lazy, json_tree
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from .multigraph import Arc, MultiGraph, _is_int
 
@@ -199,7 +200,8 @@ def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
 class GirthReport(NamedTuple):
     """The girth, the girth-cycle count, ε of every edge, each vertex's
     signature and the common signature (None unless girth-regular). The
-    mappings are read-only: the graph keeps its report for later calls."""
+    mappings are read-only, and in edge-id and vertex order: the graph
+    keeps its report for later calls."""
 
     girth: int
     cycle_count: int
@@ -207,14 +209,19 @@ class GirthReport(NamedTuple):
     signatures: Mapping[int, tuple[int, ...]]
     regular: tuple[int, ...] | None
 
-    def to_json(self) -> dict[str, Any]:
+    def json_shape(self) -> dict[str, Any]:
         return {
             "girth": self.girth,
             "cycles": self.cycle_count,
-            "epsilon": {str(k): v for k, v in sorted(self.epsilon.items())},
-            "signatures": {str(k): list(v) for k, v in sorted(self.signatures.items())},
+            "epsilon": Lazy(self.epsilon.items(), lambda kv: (str(kv[0]), kv[1]), members=True),
+            "signatures": Lazy(
+                self.signatures.items(), lambda kv: (str(kv[0]), list(kv[1])), members=True
+            ),
             "regular": list(self.regular) if self.regular is not None else None,
         }
+
+    def to_json(self) -> dict[str, Any]:
+        return json_tree(self.json_shape())
 
 
 def girth_report(g: MultiGraph) -> GirthReport:

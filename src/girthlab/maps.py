@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from .codec import arc_ref, write_multigraph_json
+from .codec import Lazy, arc_ref, json_tree, multigraph_shape
 from .errors import (
     Disconnected,
     EdgeCoverageViolation,
@@ -92,13 +92,16 @@ class MapComplex(NamedTuple):
     def non_orientable_forced(self) -> bool:
         return self.euler_characteristic % 2 != 0
 
-    def to_json(self) -> dict[str, Any]:
+    def json_shape(self) -> dict[str, Any]:
         return {
-            "skeleton": write_multigraph_json(self.skeleton),
-            "faces": [[arc_ref(a) for a in w.arcs] for w in self.faces],
+            "skeleton": multigraph_shape(self.skeleton),
+            "faces": Lazy(self.faces, lambda w: [arc_ref(a) for a in w.arcs]),
             "chi": self.euler_characteristic,
             "nonOrientableForced": self.non_orientable_forced,
         }
+
+    def to_json(self) -> dict[str, Any]:
+        return json_tree(self.json_shape())
 
 
 def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> MapComplex:

@@ -5,13 +5,20 @@ import itertools
 import json
 import random
 import sys
+from collections import Counter
 from contextlib import suppress
 
 import pytest
 
 from girthlab import corpus, families, laws
 from girthlab.codec import parse_graph6, read_multigraph_json_full, write_multigraph_json, write_sparse6
-from girthlab.errors import Disconnected, GirthLabError, InfiniteGirth, PreconditionViolation
+from girthlab.errors import (
+    Disconnected,
+    GirthLabError,
+    InfiniteGirth,
+    InvalidScheme,
+    PreconditionViolation,
+)
 from girthlab.girth import girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.laws import (
@@ -31,7 +38,14 @@ from girthlab.laws import (
 )
 from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import from_edge_list
-from girthlab.schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
+from girthlab.schemes import (
+    DihedralScheme,
+    contract_cycles,
+    decompose_011,
+    truncate,
+    unique_cubic_scheme,
+)
+from oracle import naive_epsilon, naive_girth, naive_girth_cycles, naive_signatures
 
 
 def law(results, law_id):
@@ -416,3 +430,73 @@ def test_seeded_random_multigraphs():
         h = parse_graph6(write_sparse6(g))
         assert h.n == g.n and sorted(e.ends for e in h.edges) == sorted(e.ends for e in g.edges)
         assert read_multigraph_json_full(json.dumps(write_multigraph_json(g, scheme))) == (g, scheme)
+
+
+def random_schemes(rng, count):
+    """A seeded random rotation at every vertex of the graphs of
+    random_multigraphs whose valence is at least 3 everywhere, then of the
+    4- and 5-dipoles and K5, where rotations are not forced (any order of
+    three arcs is the same dihedral cycle), and of K4 and K3,3."""
+    bases = [g for g in random_multigraphs(rng, count) if g.n and min(g.degrees) >= 3]
+    bases += [dipole(4), dipole(5), families.complete(5)] * 6
+    bases += [families.complete(4), families.complete_bipartite(3, 3)]
+    for g in bases:
+        yield DihedralScheme.from_rotations(g, [rng.sample(g.out_arcs(v), g.degree(v)) for v in g])
+
+
+@pytest.fixture(scope="module")
+def random_truncations():
+    """(scheme, its truncation, or None where truncate must refuse it)."""
+    out = []
+    for scheme in random_schemes(random.Random(19), 1000):
+        # a loop's two arcs side by side in a rotation would give a double edge
+        if any(a.edge == cyc[i - 1].edge for cyc in scheme.rotations.values()
+               for i, a in enumerate(cyc)):
+            with pytest.raises(InvalidScheme):
+                truncate(scheme)
+            out.append((scheme, None))
+        else:
+            out.append((scheme, truncate(scheme)))
+    return out
+
+
+def test_truncations_of_random_schemes_are_simple_cubic_and_match_the_oracle(random_truncations):
+    compared = 0
+    for scheme, result in random_truncations:
+        if result is None:
+            continue
+        t = result.graph
+        assert t.n == 2 * scheme.base.edge_count and t.is_simple and set(t.degrees) == {3}
+        if t.n <= 12:
+            report = girth_report(t)
+            assert report.girth == naive_girth(t)
+            assert report.cycle_count == len(naive_girth_cycles(t))
+            assert report.epsilon == naive_epsilon(t)
+            assert report.signatures == naive_signatures(t)
+            compared += 1
+    assert compared >= 30
+
+
+def test_011_truncations_of_random_schemes_give_back_their_scheme(random_truncations):
+    valences = Counter()
+    for scheme, result in random_truncations:
+        if result is None:
+            continue
+        t, origin = result
+        report = girth_report(t)
+        # base arc a is truncation vertex p; its edge to a's inverse arc is
+        # in the matching, and contract_cycles sends p to Λ's arc arc_of[p]
+        matching = {e.id for e in t.edges if origin[e.ends[0]].edge == origin[e.ends[1]].edge}
+        if report.regular != (0, 1, 1) or any(report.epsilon[eid] for eid in matching):
+            # the rotation cycles are not the girth cycles: a bouquet of
+            # three loops can truncate to the prism, which decomposes to
+            # the 3-dipole
+            continue
+        lam, back = decompose_011(t)
+        lam0, arc_of = contract_cycles(t, matching)
+        vertex_of = {a: p for p, a in origin.items()}
+        rotations = [[arc_of[vertex_of[a]] for a in cyc] for cyc in scheme.rotations.values()]
+        assert lam == lam0 and lam.n == scheme.base.n
+        assert back == DihedralScheme.from_rotations(lam0, rotations)
+        valences[max(scheme.base.degrees)] += 1
+    assert valences[3] >= 3 and valences[4] + valences[5] >= 5

@@ -120,6 +120,22 @@ def test_a_closed_walk_has_its_arc_count_as_length_and_sorts_by_its_arcs():
     assert len({*faces, k4_face()}) == 4 and k4_face() in faces
 
 
+@pytest.mark.parametrize("g", [
+    # ids given out of order, a negative one among them; girth 3, 2 and 1
+    MultiGraph(4, [(9, (2, 3)), (-3, (0, 1)), (4, (3, 0)), (0, (1, 2)), (7, (0, 2))]),
+    MultiGraph(2, [(5, (0, 1)), (1, (1, 0)), (3, (0, 1))]),
+    MultiGraph(2, [(8, (1,)), (2, (0, 1)), (6, (0,))]),
+])
+def test_report_mappings_are_stored_in_id_order(g):
+    # to_json writes them in stored order, so the bytes rest on this order
+    report = girth_report(g)
+    assert list(report.epsilon) == sorted(e.id for e in g.edges)
+    assert list(report.signatures) == list(range(g.n))
+    doc = report.to_json()
+    assert list(doc["epsilon"]) == [str(k) for k in sorted(report.epsilon)]
+    assert list(doc["signatures"]) == [str(v) for v in range(g.n)]
+
+
 def test_to_json_is_unchanged():
     assert girth_report(theta()).to_json() == {
         "girth": 2,
