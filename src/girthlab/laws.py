@@ -101,16 +101,10 @@ def _truncation_of(g: MultiGraph, scheme: DihedralScheme) -> bool:
 
 def _ladder_labels(g: MultiGraph, coloring: dict[str, list[int]], prism: bool) -> list[int]:
     """Number a (1,1,2) ladder the way families.prism / families.mobius do:
-    walk the X-cycle through vertex 0 and send its i-th vertex to i; on a
-    prism, send that vertex's Y-partner to n + i."""
-    x_adj: list[list[int]] = [[] for _ in range(g.n)]
-    for eid in coloring["X"]:
-        u, v = g.edge(eid).ends
-        x_adj[u].append(v)
-        x_adj[v].append(u)
-    walk = [0, x_adj[0][0]]
-    while (nxt := sum(x_adj[walk[-1]]) - walk[-2]) != 0:  # the X-neighbour not just left
-        walk.append(nxt)
+    send the i-th vertex of the X-cycle through vertex 0, as the component
+    walk lists it without the Y-edges, to i; on a prism, send that
+    vertex's Y-partner to n + i."""
+    walk = g._components(set(coloring["Y"]))[0]
     labels = [-1] * g.n
     for i, v in enumerate(walk):
         labels[v] = i

@@ -3,13 +3,14 @@
 A graph is a triple (V, E, ends): V is the dense range 0..n-1, every edge
 carries a stable integer id and a set of one (loop) or two endpoints.
 Each edge consists of two mutually inverse arcs; the two arcs of a loop
-are told apart by their end selector.
+are told apart by their end selector. Components, and the cycles of a
+2-factor in cyclic order, come from one depth-first walk, `_components`.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DanglingEndpoint, NotAnArc, NotAnEdge, NotAVertex, SchemaViolation
 
@@ -193,20 +194,30 @@ class MultiGraph:
         return k if all(d == k for d in self._degrees) else None
 
     def is_connected(self) -> bool:
-        if self._n <= 1:
-            return True
-        seen = bytearray(self._n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == self._n
+        return len(self._components()) <= 1
+
+    def _components(self, skip: Collection[int] = ()) -> list[list[int]]:
+        """The components without the edges in `skip`, numbered by least
+        vertex. Each lists its vertices as a stack walk from the least one
+        pops them, every vertex pushing its unseen neighbours in falling
+        edge-id order: a component of a 2-factor comes out as its cycle,
+        from the lesser edge on."""
+        adj, seen = self._adj, bytearray(self._n)
+        comps = []
+        for s in range(self._n):
+            if seen[s]:
+                continue
+            seen[s] = 1
+            comp, stack = [], [s]
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for w, eid in reversed(adj[v]):
+                    if not seen[w] and eid not in skip:
+                        seen[w] = 1
+                        stack.append(w)
+            comps.append(comp)
+        return comps
 
     # --- arcs ---
 

@@ -4,6 +4,9 @@ A dihedral scheme is stored as one cyclic arc sequence (rotation) per
 vertex; the symmetric 2-regular relation on arcs is derived from
 consecutiveness. Rotations are normalized (least arc first, lesser
 direction) so equal schemes compare and serialize identically.
+
+`contract_cycles` and `decompose_011` take the cycles that a graph leaves
+without a perfect matching from `MultiGraph._components`, in O(n).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
-from .girth import _least_vertex_cycles, girth_report
+from .girth import girth_report
 from .multigraph import Arc, MultiGraph, _is_int
 
 
@@ -130,26 +133,16 @@ def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list
     its lesser vertex in g. decompose_011 and decompose_112 build Λ so,
     and the laws check their theorems through arc_of in O(m).
     """
-    component = [-1] * g.n
-    m_at = [-1] * g.n
-    count = 0
-    for s in range(g.n):
-        if component[s] >= 0:
-            continue
-        component[s] = count
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y, eid in g.neighbors(x):
-                if eid in matching:
-                    m_at[x] = eid
-                elif component[y] < 0:
-                    component[y] = count
-                    stack.append(y)
-        count += 1
-    lam = MultiGraph(count, [(eid, [component[v] for v in g.edge(eid).ends]) for eid in matching])
+    cycles = g._components(matching)
+    component = [0] * g.n
+    for c, cycle in enumerate(cycles):
+        for v in cycle:
+            component[v] = c
+    m_at = {v: eid for eid in matching for v in g.edge(eid).ends}
+    lam = MultiGraph(len(cycles), [(eid, [component[v] for v in g.edge(eid).ends]) for eid in matching])
     arc_of = []
-    for v, eid in enumerate(m_at):
+    for v in range(g.n):
+        eid = m_at.get(v, -1)  # at a vertex that M misses, lam.edge raises NotAnEdge
         ends = lam.edge(eid).ends
         end = ends.index(component[v]) if len(ends) == 2 else g.edge(eid).ends.index(v)
         arc_of.append(lam.arcs_of_edge(eid)[end])
@@ -159,10 +152,11 @@ def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list
 def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
     """Invert the truncation of a girth-regular (0,1,1) graph.
 
-    The base has one vertex per girth cycle and one edge per edge lying on
-    no girth cycle; rotations follow consecutive attachment points along
-    each girth cycle, as `contract_cycles` numbers them. Λ keeps the
-    original edge ids of the matching edges.
+    The edges on no girth cycle form a perfect matching M, and the girth
+    cycles are the cycles of g - M, walked in order; none is listed by a
+    BFS. The base has one vertex per girth cycle and one edge per edge of
+    M, as `contract_cycles` numbers them, keeping the ids of g; each
+    rotation follows the attachment points along its cycle.
     """
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
@@ -172,16 +166,15 @@ def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
     if report.regular != (0, 1, 1):
         raise WrongSignature(f"signature {report.regular} != (0, 1, 1)")
 
-    walks = _least_vertex_cycles(g)
     matching = {e.id for e in g.edges if report.epsilon[e.id] == 0}
     covered = {v for eid in matching for v in g.edge(eid).ends}
     if not 2 * len(matching) == len(covered) == g.n:
         raise GirthInvariantViolation("the edges on no girth cycle are not a perfect matching")
     lam, arc_of = contract_cycles(g, matching)
-    # the girth cycles avoid the matching, so each is one cycle of g - M
-    if len(walks) != lam.n or any(a.edge in matching for walk in walks for a in walk):
+    # every girth cycle avoids M, so each must be a whole cycle of g - M
+    cycles = g._components(matching)
+    if len(cycles) != report.cycle_count or any(len(c) != report.girth for c in cycles):
         raise GirthInvariantViolation("the girth cycles are not the cycles left by the matching")
     if lam.has_loops:
         raise GirthInvariantViolation("an edge counted on no girth cycle joins two vertices of one")
-    rotations = [[arc_of[a.tail] for a in walk] for walk in walks]
-    return lam, DihedralScheme.from_rotations(lam, rotations)
+    return lam, DihedralScheme.from_rotations(lam, [[arc_of[v] for v in cycle] for cycle in cycles])

@@ -216,6 +216,26 @@ def test_sparse6_bytes_match_the_definition(n):
         assert h.n == n and _ends(h) == _ends(g)
 
 
+def test_sparse6_vertex_counts_in_the_36_bit_form():
+    # 258 048 is the least count past the 18-bit form. A graph on 300 000
+    # vertices would take a tenth of a second to build, so past that one
+    # round trip only the count is checked
+    g = from_edge_list(258048, [(0, 1), (5, 258047), (1, 2), (1, 2), (258047, 258047)])
+    line = write_sparse6(g)
+    assert line == naive_sparse6_line(g)
+    h = parse_graph6(codec.SPARSE6_HEADER + line)
+    assert h.n == g.n and _ends(h) == _ends(g)
+    top = 2**36 - 1
+    for n in (300000, top):
+        assert codec._decode_n(codec._encode_n(n), n) == (n, b"")
+    with pytest.raises(MalformedEncoding, match="truncated 36-bit vertex count"):
+        parse_graph6(":~~?????")
+    with pytest.raises(MalformedEncoding, match="negative vertex count"):
+        codec._encode_n(-1)
+    with pytest.raises(MalformedEncoding, match="vertex count too large"):
+        codec._encode_n(top + 1)
+
+
 def test_sparse6_power_of_two_clash_is_exercised():
     # n = 2^k, last edge at n-2, and k + 1 or more padding bits: the pad
     # must start with a 0-bit, or it would decode as a loop at n-1

@@ -48,17 +48,20 @@ def test_cayley_validation():
 
 
 def test_named_graph_orders_and_girths():
+    # the named graphs are built from constants that nothing checks at run
+    # time: a slip in one must fail here
     specs = [
-        (families.petersen(), 10, 5),
-        (families.heawood(), 14, 6),
-        (families.tutte_coxeter(), 30, 8),
-        (families.tutte_12cage(), 126, 12),
-        (families.dodecahedron(), 20, 5),
-        (families.hoffman_singleton(), 50, 5),
+        (families.petersen(), 10, 5, 3),
+        (families.heawood(), 14, 6, 3),
+        (families.tutte_coxeter(), 30, 8, 3),
+        (families.tutte_12cage(), 126, 12, 3),
+        (families.dodecahedron(), 20, 5, 3),
+        (families.hoffman_singleton(), 50, 5, 7),
     ]
-    for g, n, gir in specs:
+    for g, n, gir, k in specs:
         assert g.n == n
         assert girth(g) == gir
+        assert g.is_regular() == k
         assert g.is_simple and g.is_connected()
 
 

@@ -687,9 +687,10 @@ def test_report_and_listing_bytes_on_multigraphs():
 
 
 def test_decompositions_list_each_girth_cycle_once(monkeypatch):
-    # a decomposition runs one listing pass, and no girth search or rooted
-    # count when the graph keeps its report; a new graph gets one of each.
-    # All of them, and the distance partitions, run one BFS routine.
+    # a decomposition runs at most one listing pass, and no girth search or
+    # rooted count when the graph keeps its report; a new graph gets one of
+    # each. decompose_011 lists none: it walks the cycles that the matching
+    # leaves. All of them, and the distance partitions, run one BFS routine.
     mod = importlib.import_module("girthlab.girth")
     calls = {"_least_vertex_cycles": [], "_rooted_epsilon": [], "girth": []}
 
@@ -708,10 +709,10 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
 
     for name in calls:
         spy(name)
-    for g, decompose in (
-        (TRUNC_K4, decompose_011),
-        (families.prism(8), decompose_112),
-        (families.dodecahedron(), map_from_222),
+    for g, decompose, listings in (
+        (TRUNC_K4, decompose_011, 0),
+        (families.prism(8), decompose_112, 1),
+        (families.dodecahedron(), map_from_222, 1),
     ):
         rep = girth_report(g)
         for fresh in (False, True):
@@ -720,8 +721,8 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
             for found in calls.values():
                 found.clear()
             decompose(g)
-            assert [len(calls[name]) for name in calls] == [1, int(fresh), int(fresh)], calls
-            assert len(calls["_least_vertex_cycles"][0]) == rep.cycle_count
+            assert [len(calls[name]) for name in calls] == [listings, int(fresh), int(fresh)], calls
+            assert [len(walks) for walks in calls["_least_vertex_cycles"]] == [rep.cycle_count] * listings
 
     roots: list[int] = []
     bfs = mod._bfs

@@ -37,7 +37,7 @@ from girthlab.laws import (
     classify_g5,
 )
 from girthlab.maps import decompose_112, map_from_222
-from girthlab.multigraph import from_edge_list
+from girthlab.multigraph import MultiGraph, from_edge_list
 from girthlab.schemes import (
     DihedralScheme,
     contract_cycles,
@@ -183,6 +183,39 @@ def test_ladders_are_decomposed_once(monkeypatch):
         decompositions.clear()
         check_all_laws(g, iso_cap=512)
         assert len(decompositions) == 1
+
+
+def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
+    # connectivity, cycle contraction, the (0,1,1) rotations and the ladder
+    # labels all read MultiGraph._components, and decompose_011 lists no
+    # girth cycle
+    callers: list[str] = []
+    walk = MultiGraph._components
+
+    def spy(self, skip=()):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return walk(self, skip)
+
+    monkeypatch.setattr(MultiGraph, "_components", spy)
+    listings = _spy(monkeypatch, "girth", "_least_vertex_cycles")
+    prism = families.prism(6)
+    trunc = truncate(unique_cubic_scheme(families.complete(4))).graph
+    rng = random.Random(8)
+    for run, g, want in (
+        (MultiGraph.is_connected, families.petersen(), ["is_connected"]),
+        (lambda g: contract_cycles(g, {e.id for e in g.edges if e.ends[1] - e.ends[0] == 6}), prism, ["contract_cycles"]),
+        (decompose_011, trunc, ["contract_cycles", "decompose_011"]),
+        (classify_g5, prism.relabeled(rng.sample(range(12), 12)), ["_ladder_labels"]),
+        (classify_g5, families.mobius(7).relabeled(rng.sample(range(14), 14)), ["_ladder_labels"]),
+    ):
+        callers.clear()
+        listings.clear()
+        result = run(g)
+        assert set(want) <= set(callers), (run, callers)
+        if run is decompose_011:
+            assert listings == []
+        if run is classify_g5:
+            assert result.case == PRISM_OR_MOBIUS
 
 
 def test_searches_only_against_named_models(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,10 @@ from girthlab import families
 from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
 from girthlab.girth import _least_vertex_cycles, girth_report
 from girthlab.isomorphism import are_isomorphic
+from girthlab.laws import _maps_onto
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
+from girthlab.schemes import contract_cycles
 
 
 def walks_of_girth_cycles(g):
@@ -249,6 +252,29 @@ def test_decompose_112_round_trips():
         assert are_isomorphic(truncate_map(m).graph, g)[0]
 
 
+def test_112_truncations_give_back_their_map(whole_corpus):
+    # a (1,1,2) graph g is the truncation of its map m under the bijection
+    # that contract_cycles builds, and decomposing that truncation gives
+    # back m: its vertex p, m's arc p, goes to the new map's arc arc_of[p],
+    # which has the same tail and end, and m's faces go to the new faces
+    rng = random.Random(112)
+    sizes = [*range(4, 13), 17, 25, 33, 40]
+    ladders = [make(n) for n in sizes for make in (families.prism, families.mobius) if (make, n) != (families.prism, 4)]
+    graphs = [g.relabeled(rng.sample(range(g.n), g.n)) for g in ladders]
+    graphs += [g for _, g in whole_corpus if girth_report(g).regular == (1, 1, 2)]
+    assert len(graphs) > len(ladders)
+    for g in graphs:
+        m, split = decompose_112(g)
+        t = truncate_map(m).graph
+        _, arc_of = contract_cycles(g, set(split["Y"]))
+        assert _maps_onto(g, t, m.skeleton._arc_indices(arc_of))
+        back, split = decompose_112(t)
+        _, arc_of = contract_cycles(t, set(split["Y"]))
+        assert [(a.tail, a.end) for a in arc_of] == [(a.tail, a.end) for a in m.skeleton.arcs()]
+        moved = [ClosedWalk.from_arcs(back.skeleton, [arc_of[p] for p in m.skeleton._arc_indices(w.arcs)]) for w in m.faces]
+        assert sorted(moved) == list(back.faces)
+
+
 def test_decompose_112_rejects_wrong_signature():
     with pytest.raises(WrongSignature):
         decompose_112(families.cube_q3())
@@ -269,7 +295,8 @@ def test_map_json_shape():
 # a kept report whose ε contradicts the graph: one girth-cycle edge
 # counted on none (0,1,1), one edge on two girth cycles counted on one
 # (1,1,2), or each girth cycle in turn dropped from ε as a whole, which
-# leaves every count a whole number of cycles
+# leaves every count a whole number of cycles; or a (0,1,1) report with
+# one girth cycle too many, or a girth one too short
 FORGED_REPORT_CHECK = """
 from types import MappingProxyType
 from girthlab import families
@@ -299,6 +326,12 @@ for g, decompose, flip in (
     forge(g, rep, epsilon=MappingProxyType({**rep.epsilon, eid: flip[rep.epsilon[eid]]}))
     rejects(decompose, g)
 
+for field, delta in (("cycle_count", 1), ("girth", -1)):
+    g = truncate(unique_cubic_scheme(families.complete(4))).graph
+    rep = girth_report(g)
+    forge(g, rep, **{field: getattr(rep, field) + delta})
+    rejects(decompose_011, g)
+
 two_loops = MultiGraph(1, [(0, (0,)), (1, (0,))])
 for g in (families.complete(4), families.petersen(), families.prism(6), two_loops):
     rep = girth_report(g)
@@ -317,5 +350,6 @@ def test_decompositions_reject_a_forged_report(flags):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    # 2 decompositions, then 4 + 12 + 6 + 2 girth cycles dropped in turn
-    assert done.stdout.count("GirthInvariantViolation") == 2 + 24, done.stdout
+    # 2 decompositions, 2 forged (0,1,1) counts, then 4 + 12 + 6 + 2 girth
+    # cycles dropped in turn
+    assert done.stdout.count("GirthInvariantViolation") == 2 + 2 + 24, done.stdout

@@ -7,6 +7,7 @@ import pytest
 from girthlab import families
 from girthlab.errors import DanglingEndpoint, NotAnArc, NotAnEdge, NotAVertex, SchemaViolation
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
+from girthlab.schemes import DihedralScheme, least_rotation, truncate, unique_cubic_scheme
 
 
 def test_basic_construction_and_degrees():
@@ -229,3 +230,84 @@ def test_ids_and_counts_that_are_not_integers_are_rejected():
             MultiGraph(2, [record])
     with pytest.raises(SchemaViolation, match="edges must be iterable, not NoneType"):
         MultiGraph(2, None)
+
+
+# --- the component walk ---
+
+def union_find_components(g: MultiGraph, skip: set[int]) -> list[list[int]]:
+    """The vertex sets of g's components without the edges in skip, each
+    sorted, in order of least vertex."""
+    parent = list(range(g.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for e in g.edges:
+        if e.id not in skip:
+            parent[find(e.ends[0])] = find(e.ends[-1])
+    groups: dict[int, list[int]] = {}
+    for v in g:
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def test_components_match_a_union_find_and_walk_from_the_least_vertex():
+    rng = random.Random(31)
+    graphs = [MultiGraph(0, []), MultiGraph(1, []), MultiGraph(1, [(4, (0,))]), MultiGraph(4, [(0, (2,))])]
+    graphs += [random_multigraph(rng) for _ in range(300)]
+    for g in graphs:
+        for skip in (set(), {e.id for e in g.edges if rng.random() < 0.4}, {e.id for e in g.edges}):
+            comps = g._components(skip)
+            assert [sorted(c) for c in comps] == union_find_components(g, skip), (g.edges, skip)
+            # a walk: each vertex after the first is reached from one before it
+            kept = [e.ends for e in g.edges if e.id not in skip and len(e.ends) == 2]
+            for comp in comps:
+                assert comp[0] == min(comp)
+                for i, v in enumerate(comp[1:], 1):
+                    assert any({v, u} == set(ends) for u in comp[:i] for ends in kept), (g.edges, skip)
+        assert g.is_connected() == (len(union_find_components(g, set())) <= 1)
+    assert MultiGraph(0, []).is_connected() and not MultiGraph(2, [(0, (0,)), (1, (1,))]).is_connected()
+
+
+def assert_cycles_in_walk_order(g: MultiGraph, skip: set[int], cycles: list[list[int]]) -> None:
+    """Each listed component of the 2-factor g - skip is its cycle, from its
+    least vertex, first along the lesser of that vertex's two edge ids."""
+    kept = {e.id: e.ends for e in g.edges if e.id not in skip}
+    for cyc in cycles:
+        assert cyc[0] == min(cyc)
+        steps = [(cyc[i - 1], v) for i, v in enumerate(cyc)]
+        assert sorted(tuple(sorted(step)) for step in steps) == sorted(kept[eid] for eid in kept if kept[eid][0] in cyc)
+        first = min(eid for w, eid in g.neighbors(cyc[0]) if eid in kept)
+        assert cyc[1] in kept[first]
+
+
+def least_turn(seq: list[int]) -> tuple[int, ...]:
+    """A cyclic sequence read from its least item in the lesser direction."""
+    return min(least_rotation(seq), least_rotation(seq[::-1]))
+
+
+def test_components_walk_the_cycles_of_a_2_factor_in_order():
+    for n in (3, 4, 7, 40):
+        prism, mobius = families.prism(n), families.mobius(n)
+        rungs = {e.id for e in prism.edges if e.ends[1] - e.ends[0] == n}
+        assert prism._components(rungs) == [list(range(n)), list(range(n, 2 * n))]
+        chords = {e.id for e in mobius.edges if e.ends[1] - e.ends[0] == n}
+        assert mobius._components(chords) == [list(range(2 * n))]
+        assert_cycles_in_walk_order(prism, rungs, prism._components(rungs))
+    # a truncation without its matching leaves one cycle per base vertex,
+    # in the order of that vertex's rotation
+    k5 = families.complete(5)
+    rng = random.Random(3)
+    scheme = DihedralScheme.from_rotations(k5, [rng.sample(k5.out_arcs(v), 4) for v in k5])
+    for base_scheme in (unique_cubic_scheme(families.complete(4)), unique_cubic_scheme(families.petersen()), scheme):
+        t, origin = truncate(base_scheme)
+        matching = {e.id for e in t.edges if origin[e.ends[0]].edge == origin[e.ends[1]].edge}
+        cycles = t._components(matching)
+        assert_cycles_in_walk_order(t, matching, cycles)
+        assert len(cycles) == base_scheme.base.n
+        for cyc in cycles:
+            [v] = {origin[p].tail for p in cyc}
+            rotation = base_scheme.base._arc_indices(base_scheme.rotation(v))
+            assert least_turn(cyc) == least_turn(rotation)
