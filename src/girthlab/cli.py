@@ -14,12 +14,14 @@ import argparse
 import json
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from . import families
 from .codec import (
     Lazy,
+    _graph6_pieces,
     graph6_chunks,
     json_pieces,
     multigraph_shape,
@@ -89,7 +91,7 @@ ParsedGraph = tuple[str, "MultiGraph | Exception", "DihedralScheme | None"]
 
 def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
     """Parse every graph in the inputs, one (id, graph-or-error, scheme)
-    per graph, ordered by (file, position)."""
+    per graph, ordered by (file, position); it keeps no graph it has yielded."""
     for name, content in _input_files(paths):
         if isinstance(content, Exception):
             yield name, content, None
@@ -112,8 +114,7 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
             for k, d in enumerate(docs, start=1):
                 gid = f"{name}:#{k}"
                 try:
-                    g, scheme = read_multigraph_json_full(d, cap)
-                    yield gid, g, scheme
+                    yield (gid, *read_multigraph_json_full(d, cap))
                 except GirthLabError as exc:
                     yield gid, exc, None
             continue
@@ -124,8 +125,7 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
             gid = f"{name}:{i}"
             try:
                 if line.startswith("{"):
-                    g, scheme = read_multigraph_json_full(line, cap)
-                    yield gid, g, scheme
+                    yield (gid, *read_multigraph_json_full(line, cap))
                 else:
                     yield gid, parse_graph6(line, cap=cap), None
             except GirthLabError as exc:
@@ -143,18 +143,16 @@ def _emit(records: Iterable[Record], fmt: str,
     out = sys.stdout
     if fmt == "json-array":
         out.write("[")
-        for k, (gid, doc) in enumerate(records):
-            if k:
-                out.write(",")
-            out.writelines(json_pieces(dict(doc, id=gid)))
-        out.write("]\n")
-    elif fmt == "json":
-        for gid, doc in records:
-            out.writelines(json_pieces(dict(doc, id=gid)))
-            out.write("\n")
-    else:
-        for gid, doc in records:
+    for k, (gid, doc) in enumerate(records):
+        if fmt == "text":
             print(f"{gid}: ERROR {doc['error']}" if "error" in doc else text_of(gid, doc))
+        else:
+            out.write("," if k and fmt == "json-array" else "")
+            out.writelines(json_pieces(dict(doc, id=gid)))
+            out.write("\n" if fmt == "json" else "")
+        del doc  # each record is gone before the next graph is parsed
+    if fmt == "json-array":
+        out.write("]\n")
 
 
 def _run(args: argparse.Namespace, cap: int,
@@ -166,13 +164,15 @@ def _run(args: argparse.Namespace, cap: int,
 
     def records() -> Iterator[Record]:
         nonlocal status
-        for gid, g, _ in iter_graphs(args.paths, cap):
+        for gid, g, scheme in iter_graphs(args.paths, cap):
             doc = {"error": str(g)} if isinstance(g, Exception) else work(g)
+            del g, scheme  # so that the next graph is parsed without this one
             if "error" in doc or any(
                 law["applicable"] and law["holds"] is False for law in doc.get("laws", ())
             ):
                 status = 1
             yield gid, doc
+            del doc
 
     _emit(records(), args.format, text_of)
     return status
@@ -220,21 +220,24 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_truncate(args: argparse.Namespace) -> int:
-    from .schemes import truncate, unique_cubic_scheme
+    from .schemes import _truncation_pairs, unique_cubic_scheme
     cap = _cap(args, ANALYZE_CAP)
     failures = 0
     for gid, g, scheme in iter_graphs(args.paths, cap):
-        if not isinstance(g, Exception):
+        error = str(g) if isinstance(g, Exception) else None
+        if error is None:
             try:
                 if scheme is None:
                     scheme = unique_cubic_scheme(g)
                 # every check runs before the first piece is written
-                sys.stdout.writelines(graph6_chunks(truncate(scheme).graph))
-                continue
+                sys.stdout.writelines(_graph6_pieces(2 * g.edge_count, _truncation_pairs(scheme)))
             except GirthLabError as exc:
-                g = exc
-        print(f"{gid}: ERROR {g}", file=sys.stderr)
-        failures += 1
+                error = str(exc)
+        # the next graph is parsed without this one; an error keeps only its text
+        del g, scheme
+        if error is not None:
+            print(f"{gid}: ERROR {error}", file=sys.stderr)
+            failures += 1
     return 1 if failures else 0
 
 
@@ -303,8 +306,8 @@ def cmd_census(args: argparse.Namespace) -> int:
     from .isomorphism import DEFAULT_ISO_CAP
     from .laws import census
     cap = _cap(args, DEFAULT_ISO_CAP)
-    stream = ((gid, g) for gid, g, _ in iter_graphs(args.paths, cap))
-    result = census(stream, iso_cap=cap)
+    # (id, graph) pairs, no name holding the last one
+    result = census(map(itemgetter(0, 1), iter_graphs(args.paths, cap)), iso_cap=cap)
     if args.format in ("json", "json-array"):
         print(json.dumps(result.to_json(), separators=(",", ":")))
     else:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from itertools import compress, islice
-from typing import Any, Callable, Collection, Iterator, TYPE_CHECKING
+from typing import Any, Callable, Collection, Iterable, Iterator, TYPE_CHECKING
 
 from .errors import (
     MalformedEncoding,
@@ -136,10 +136,14 @@ def graph6_chunks(g: MultiGraph) -> Iterator[str]:
     a line short."""
     if not g.is_simple:
         raise NotSimple("graph6 cannot carry loops or parallel edges")
-    n = g.n
+    return _graph6_pieces(g.n, (e.ends for e in g.edges))
+
+
+def _graph6_pieces(n: int, pairs: Iterable[tuple[int, ...]]) -> Iterator[str]:
+    """`graph6_chunks` for n vertices and the caller's distinct pairs u < v."""
     header = _encode_n(n).decode("ascii")
     # bit p holds the pair (u, v), u < v, with p = v(v-1)/2 + u
-    bits = sorted([v * (v - 1) // 2 + u for u, v in (e.ends for e in g.edges)])
+    bits = sorted([v * (v - 1) // 2 + u for u, v in pairs])
     size = (n * (n - 1) // 2 + 5) // 6
 
     def pieces() -> Iterator[str]:
@@ -334,7 +338,8 @@ def read_multigraph_json_full(
     _check(_is_int(n) and n >= 0, "'vertices' must be a nonnegative integer")
     if n > cap:
         raise VertexCountOverflow(f"{n} vertices exceeds cap {cap}")
-    raw_edges = doc["edges"]
+    raw_edges, raw = doc["edges"], doc.get("scheme")
+    del doc  # a tree parsed here now lives in these two parts, each dropped once read
     _check(isinstance(raw_edges, list), "'edges' must be a list")
     edges = []
     for rec in raw_edges:
@@ -349,13 +354,14 @@ def read_multigraph_json_full(
             f"edge {rec.get('id')}: 'ends' must hold 1 or 2 vertex ids",
         )
         edges.append((rec["id"], tuple(ends)))
+    del raw_edges
     g = MultiGraph(n, edges)
+    del edges
 
     scheme = None
-    if doc.get("scheme") is not None:
+    if raw is not None:
         from .schemes import DihedralScheme
 
-        raw = doc["scheme"]
         _check(isinstance(raw, list), "'scheme' must be a list of rotation cycles")
         rotations = []
         for cyc in raw:
@@ -369,6 +375,7 @@ def read_multigraph_json_full(
                 )
                 arcs.append(Arc(ref["tail"], ref["edge"], ref["end"]))
             rotations.append(tuple(arcs))
+        del raw
         scheme = DihedralScheme.from_rotations(g, rotations)
     return g, scheme
 

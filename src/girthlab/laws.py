@@ -20,7 +20,7 @@ from .girth import girth_report
 from .isomorphism import DEFAULT_ISO_CAP, find_isomorphism
 from .maps import decompose_112, map_from_222
 from .multigraph import MultiGraph
-from .schemes import DihedralScheme, contract_cycles, decompose_011, truncate
+from .schemes import DihedralScheme, _truncation_pairs, contract_cycles, decompose_011, truncate
 
 EXAMPLES_PER_BUCKET = 3
 
@@ -92,11 +92,14 @@ def _maps_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:
 def _truncation_of(g: MultiGraph, scheme: DihedralScheme) -> bool:
     """Whether g is the truncation of the scheme under the vertex map that
     its decomposition built: v goes to the truncation vertex of the arc
-    that contract_cycles gives it."""
-    tr = truncate(scheme)
+    that contract_cycles gives it: g's mapped edges, sorted, must be the
+    truncation's distinct arc-position pairs, so no truncation is built."""
+    pairs = _truncation_pairs(scheme)
     _, arc_of = contract_cycles(g, {e.id for e in scheme.base.edges})
     # truncation vertex i is the base arc at position i of its arc table
-    return _maps_onto(g, tr.graph, scheme.base._arc_indices(arc_of))
+    mapping = scheme.base._arc_indices(arc_of)
+    return g.n == 2 * scheme.base.edge_count and sorted(mapping) == list(range(g.n)) and (
+        sorted(tuple(sorted(mapping[v] for v in e.ends)) for e in g.edges) == pairs)
 
 
 def _ladder_labels(g: MultiGraph, coloring: dict[str, list[int]], prism: bool) -> list[int]:
@@ -442,6 +445,7 @@ def census(
             key = (None, None)
         except Disconnected:
             pass
+        del item  # before the next graph is parsed
         bucket = result.buckets.get(key)
         if bucket is None:
             bucket = CensusBucket(girth=key[0], signature=key[1])

@@ -57,7 +57,7 @@ class MultiGraph:
 
     __slots__ = (
         "_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache", "_has_loops", "_parallel",
-        "_girth", "_report",
+        "_girth", "_report", "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):

@@ -90,29 +90,45 @@ class TruncationResult(NamedTuple):
     vertex_origin: dict[int, Arc]
 
 
-def truncate(scheme: DihedralScheme) -> TruncationResult:
-    """The simple cubic graph on the arcs of the base: arcs adjacent when
-    rotation-consecutive or mutually inverse. Truncation vertex i is the
-    base arc at position i of (tail, edge id, end) order."""
+def _truncation_pairs(scheme: DihedralScheme) -> list[tuple[int, int]]:
+    """The truncation's edges as the sorted arc-position pairs (p, q), p < q.
+    Distinct, they make a simple graph, which graph6 carries without a
+    NotSimple check; InvalidScheme unless it is cubic on all 2|E| arcs."""
     base = scheme.base
     arcs, _, inverse, _ = base._arc_table()
     inv_pairs = {(p, q) for p, q in enumerate(inverse) if p < q}
-    rot_pairs: set[tuple[int, int]] = set()
-    for cyc in scheme.rotations.values():
-        ps = base._arc_indices(cyc)
-        for p, q in zip(ps, ps[1:] + ps[:1]):
-            rot_pairs.add((p, q) if p < q else (q, p))
+    rot_pairs = {
+        (p, q) if p < q else (q, p)
+        for ps in map(base._arc_indices, scheme.rotations.values())
+        for p, q in zip(ps, ps[1:] + ps[:1]) if p != q
+    }
     clash = rot_pairs & inv_pairs
     if clash:
         pair = [arcs[p] for p in min(clash)]
         raise InvalidScheme(
             f"loop arcs {pair} are rotation-consecutive; truncation would not be cubic"
         )
-    graph = MultiGraph(len(arcs), list(enumerate(sorted(rot_pairs | inv_pairs))))
-    if any(d != 3 for d in graph.degrees):
-        # only a scheme built without from_rotations gets here
+    rot_pairs |= inv_pairs
+    pairs = sorted(rot_pairs)
+    degree = [0] * (len(arcs) + 1)  # an arc the base lacks is at -1, the last place
+    for p, q in pairs:
+        degree[p] += 1
+        degree[q] += 1
+    if degree != [3] * len(arcs) + [0]:  # only if not built by from_rotations
         raise InvalidScheme("truncation is not cubic: a rotation is no cycle over out(v)")
-    return TruncationResult(graph, dict(enumerate(arcs)))
+    return pairs
+
+
+def truncate(scheme: DihedralScheme) -> TruncationResult:
+    """The simple cubic graph on the arcs of the base: arcs adjacent when
+    rotation-consecutive or mutually inverse. Truncation vertex i is the
+    base arc at position i of (tail, edge id, end) order. The CLI writes
+    graph6 from `_truncation_pairs` (distinct p < q: no NotSimple check)
+    and the laws compare with them, so neither builds this graph."""
+    arcs = scheme.base._arc_table().arcs
+    return TruncationResult(
+        MultiGraph(len(arcs), list(enumerate(_truncation_pairs(scheme)))), dict(enumerate(arcs))
+    )
 
 
 def unique_cubic_scheme(g: MultiGraph) -> DihedralScheme:

@@ -31,6 +31,7 @@ from girthlab.laws import (
     Q3,
     TRUNC011,
     _maps_onto,
+    _truncation_of,
     canonical_graph,
     census,
     check_all_laws,
@@ -255,6 +256,39 @@ def test_a_wrong_rotation_violates_thm36(monkeypatch):
     results = check_all_laws(tr)
     assert law(results, "thm3.6").holds is False
     assert law(results, "thm-main").holds is False
+
+
+def _wrong_rotations(scheme):
+    """The scheme with two arcs swapped in one rotation of valence >= 4,
+    for each such rotation in turn."""
+    for v, (a, b, c, *rest) in scheme.rotations.items():
+        if rest:
+            rotations = dict(scheme.rotations)
+            rotations[v] = (a, c, b, *rest)
+            yield DihedralScheme.from_rotations(scheme.base, rotations.values())
+
+
+def test_truncation_of_agrees_with_maps_onto_against_the_truncation_graph(whole_corpus):
+    def reference(g, scheme):
+        tr = truncate(scheme).graph
+        _, arc_of = contract_cycles(g, {e.id for e in scheme.base.edges})
+        return _maps_onto(g, tr, scheme.base._arc_indices(arc_of))
+
+    def verdict(check, g, scheme):
+        try:
+            return check(g, scheme)
+        except GirthLabError as exc:
+            return repr(exc)
+
+    cases = []
+    for _, g in whole_corpus:
+        sig = girth_report(g).regular
+        if sig in ((0, 1, 1), (1, 1, 2)):
+            scheme = decompose_011(g)[1] if sig == (0, 1, 1) else decompose_112(g)[0].scheme_induced
+            cases += [(g, scheme), *((g, wrong) for wrong in _wrong_rotations(scheme))]
+    verdicts = [verdict(_truncation_of, g, scheme) for g, scheme in cases]
+    assert verdicts == [verdict(reference, g, scheme) for g, scheme in cases]
+    assert {True, False} <= set(verdicts)
 
 
 def test_maps_onto_checks_edges_with_multiplicities():

@@ -134,6 +134,20 @@ def test_adjacent_loop_arcs_rejected_at_truncation():
         truncate(scheme)
 
 
+def test_a_scheme_built_without_validation_is_refused_at_truncation():
+    # an arc the base lacks takes position -1, the last position, and a
+    # one-arc rotation makes the pair (p, p): each still leaves every
+    # position in three pairs
+    k4 = families.complete(4)
+    rotations = {v: tuple(k4.out_arcs(v)) for v in range(4)}
+    rotations[3] = rotations[3][:2] + (Arc(3, 99, 0),)
+    edge = MultiGraph(2, [(0, (0, 1))])
+    one_arc = {0: (Arc(0, 0, 0),), 1: (Arc(1, 0, 1),)}
+    for scheme in (DihedralScheme(k4, rotations), DihedralScheme(edge, one_arc)):
+        with pytest.raises(InvalidScheme, match="truncation is not cubic"):
+            truncate(scheme)
+
+
 def test_rotation_normalization_makes_schemes_comparable():
     g = families.complete(4)
     rots = [g.out_arcs(v) for v in range(4)]
