@@ -111,10 +111,11 @@ def iter_graphs(paths: list[str], cap: int) -> Iterator[ParsedGraph]:
             except (json.JSONDecodeError, RecursionError):
                 docs = None
         if docs is not None:
-            for k, d in enumerate(docs, start=1):
+            docs.reverse()  # each document is popped as it is read: no list holds it then
+            for k in range(1, len(docs) + 1):
                 gid = f"{name}:#{k}"
                 try:
-                    yield (gid, *read_multigraph_json_full(d, cap))
+                    yield (gid, *read_multigraph_json_full(docs.pop(), cap))
                 except GirthLabError as exc:
                     yield gid, exc, None
             continue

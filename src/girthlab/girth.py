@@ -4,20 +4,20 @@ radius, optionally over the vertices above the root only, it labels each
 vertex with its depth, parent, tree edge and branch (the edge at the root
 its tree path leaves by) and lists the non-tree edges it meets: a closed
 walk through the root closes at each. A pass stamps each root's depths
-above a base of its own, so no root resets the marks. Four consumers:
+above a base of its own, so no root resets the marks. Three consumers:
 
 - `_shortest_cycle`, the girth search, from the core vertices of degree
   >= 3 and once over each core component. It stays a pass of its own:
   `girth()` stays linear on forests and long cycles, and the count's
   checks for shorter cycles could not test a girth that they had found.
-- `_rooted_epsilon`, the report's count: one BFS of radius d = ⌊g/2⌋ per
-  root r. A girth cycle through r is an edge joining two depth-d vertices
-  of different branches (g = 2d+1) or two parents of one depth-d vertex
-  (g = 2d), and adds 1 to both branches; any other non-tree edge closes a
-  shorter cycle. The counts of an edge from its two ends must agree. Each
-  graph keeps its report, and ε of one edge is read from it.
-- `_least_vertex_cycles`, a second rooted pass, lists each girth cycle
-  once at its least vertex; they must add up to the report's ε.
+- `_rooted_pass`, one BFS of radius d = ⌊g/2⌋ per root r. A girth cycle
+  through r is an edge joining two depth-d vertices of different branches
+  (g = 2d+1) or two parents of one depth-d vertex (g = 2d), and adds 1 to
+  both branches for ε; any other non-tree edge closes a shorter cycle. The
+  counts of an edge from its two ends must agree. On request it lists each
+  girth cycle once, from its least vertex r, where both tree paths stay
+  above r; the cycles must add up to ε. A graph keeps its report, and on
+  one that does, the pass lists over the vertices above r and counts none.
 - `_partition` intersects the balls of radius d + 1 around two vertices.
 
 The two-path counts at a cubic vertex solve a linear system over the
@@ -27,6 +27,7 @@ report's ε, and the partition facts read ε from it too.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
@@ -52,11 +53,9 @@ def _bfs(
     `length` edges closes at a non-tree edge that it meets. Each vertex
     reached gets, in `marks`, its depth stamp base + depth and, below the
     root, its parent, its tree edge and its branch, the edge at root that
-    its tree path leaves by. Stamps below base read as unreached: each
-    root of a pass gets a base above all earlier stamps, so the marks are
-    never reset. Returns the vertices reached, in BFS order, and the
-    non-tree edges (v, w, edge id) in the order met, once from each
-    scanned end v."""
+    its tree path leaves by. Stamps below base read as unreached. Returns
+    the vertices reached, in BFS order, and the non-tree edges (v, w, edge
+    id) in the order met, once from each scanned end v."""
     depth, parent, up, branch = marks
     depth[root], up[root] = base, None
     far, scan = base + length // 2, base + (length - 1) // 2
@@ -152,50 +151,7 @@ def _require_finite(g: MultiGraph) -> int:
     return gir
 
 
-# --- per-edge counts ---
-
-def _rooted_epsilon(g: MultiGraph, gir: int) -> dict[int, int]:
-    """ε of every edge, in edge-id order, by one BFS per root (see the module docstring)."""
-    if gir <= 2:  # a loop is its own cycle; a parallel pair is one
-        mult = Counter(e.ends for e in g.edges)
-        return {e.id: int(e.is_loop) if gir == 1 else mult[e.ends] - 1 for e in g.edges}
-    d, even, adj = gir // 2, gir % 2 == 0, g._adj
-    eps = dict.fromkeys(g._by_id, 0)
-    depth, _, _, branch = marks = _marks(g.n)
-    for r, nbrs in enumerate(adj):
-        base = r * (d + 1)  # depth i from r is stamped r·(d + 1) + i
-        far = base + d
-        _, cross = _bfs(adj, r, gir, marks, base)
-        counts: dict[int, int] = {}  # by branch
-        parents: dict[int, set[int]] = {}  # the branches of depth-d vertices' parents
-        for v, w, eid in cross:
-            dv, dw = depth[v], depth[w]
-            b, c = branch[v], branch[w]
-            if dv == dw == far and b != c:  # across layer d, seen from both ends
-                counts[b] = counts.get(b, 0) + 1
-            elif even and dw == far == dv + 1 and b not in (bs := parents.setdefault(w, {c})):
-                bs.add(b)
-            else:
-                raise GirthInvariantViolation(
-                    f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
-                )
-        for bs in parents.values():
-            k = len(bs) - 1
-            for b in bs:
-                counts[b] = counts.get(b, 0) + k
-        for w, eid in nbrs:
-            c = counts.get(eid, 0)
-            if w > r:
-                eps[eid] = c
-            elif eps[eid] != c:
-                raise GirthInvariantViolation(
-                    f"edge {eid} lies on {eps[eid]} girth cycles counted from vertex {w}"
-                    f" but on {c} counted from vertex {r}"
-                )
-    return eps
-
-
-# --- reports ---
+# --- reports and girth cycles, from one rooted pass ---
 
 class GirthReport(NamedTuple):
     """The girth, the girth-cycle count, ε of every edge, each vertex's
@@ -224,27 +180,29 @@ class GirthReport(NamedTuple):
         return json_tree(self.json_shape())
 
 
+def _keep_report(g: MultiGraph, gir: int, eps: dict[int, int]) -> GirthReport:
+    """The report of the counts ε, kept on g if they are whole cycles."""
+    total = sum(eps.values())
+    if total % gir:
+        raise GirthInvariantViolation(
+            f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
+        )
+    signatures: dict[int, tuple[int, ...]] = {}
+    for v, nbrs in enumerate(g._adj):
+        incident = [eps[eid] for _, eid in nbrs]
+        if g.has_loops:
+            incident += [eps[eid] for w, eid in nbrs if w == v]  # a loop counts twice
+        signatures[v] = tuple(sorted(incident))
+    values = set(signatures.values())
+    regular = values.pop() if len(values) == 1 and g.n > 0 else None
+    g._report = GirthReport(gir, total // gir, MappingProxyType(eps), MappingProxyType(signatures), regular)
+    return g._report
+
+
 def girth_report(g: MultiGraph) -> GirthReport:
     """Built on the first call for each graph and kept on the graph."""
     if g._report is None:
-        gir = _require_finite(g)
-        eps = _rooted_epsilon(g, gir)
-        total = sum(eps.values())
-        if total % gir:
-            raise GirthInvariantViolation(
-                f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"
-            )
-        signatures: dict[int, tuple[int, ...]] = {}
-        for v, nbrs in enumerate(g._adj):
-            incident = [eps[eid] for _, eid in nbrs]
-            if g.has_loops:
-                incident += [eps[eid] for w, eid in nbrs if w == v]  # a loop counts twice
-            signatures[v] = tuple(sorted(incident))
-        values = set(signatures.values())
-        regular = values.pop() if len(values) == 1 and g.n > 0 else None
-        g._report = GirthReport(
-            gir, total // gir, MappingProxyType(eps), MappingProxyType(signatures), regular
-        )
+        _rooted_pass(g, False)
     return g._report
 
 
@@ -253,20 +211,26 @@ def epsilon(g: MultiGraph, eid: int) -> int:
     return girth_report(g).epsilon[g.edge(eid).id]
 
 
-# --- girth-cycle listing ---
-
-def _least_vertex_cycles(g: MultiGraph) -> list[list[Arc]]:
-    """Each girth cycle once, as its arcs in walk order from its least
-    vertex r, found by a BFS of radius d = ⌊g/2⌋ from r over the vertices
-    above r. At odd girth an edge x ≤ y joining two depth-d vertices closes
-    r..x y..r (at d = 0 a loop at r); at even girth two parents p, q of one
-    depth-d vertex w close r..p w q..r (at d = 1 two parallel edges). The
-    two tree paths leave r by different edges, or the report's count would
-    have met a shorter cycle. The cycles must add up to the report's ε."""
-    report = girth_report(g)
-    gir, d, adj = report.girth, report.girth // 2, g._adj
-    depth, parent, up, _ = marks = _marks(g.n)
+def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
+    """One BFS of radius d = ⌊g/2⌋ per root r (see the module docstring):
+    over all vertices to count ε and keep the report, or, if g keeps one,
+    over the vertices above r. With `cycles` it returns each girth cycle
+    once, as its arcs in walk order from its least vertex r: r..x y..r for
+    an edge xy, x ≤ y, joining two depth-d vertices (odd girth, a loop at
+    d = 0), r..p w q..r for two parents p, q of a depth-d vertex w (even)."""
+    report = g._report
+    gir = _require_finite(g) if report is None else report.girth
+    if report is None and gir <= 2:  # a loop is its own cycle; a parallel pair is one
+        mult = Counter(e.ends for e in g.edges)
+        report = _keep_report(g, gir, {e.id: int(e.is_loop) if gir == 1 else mult[e.ends] - 1 for e in g.edges})
+    count = report is None
     walks: list[list[Arc]] = []
+    if not (count or cycles):
+        return walks
+    d, even, adj = gir // 2, gir % 2 == 0, g._adj
+    eps = dict.fromkeys(g._by_id, 0) if count else {}
+    depth, parent, up, branch = marks = _marks(g.n)
+    ok = [True] * g.n if cycles else []  # whether a vertex's tree path stays above the root r
 
     def walk(x: int, across: list[tuple[int, int, int]], y: int) -> list[Arc]:
         """Up the tree from r to x, the steps `across` to y, down to r."""
@@ -280,33 +244,67 @@ def _least_vertex_cycles(g: MultiGraph) -> list[list[Arc]]:
         # an edge's arc from its greater end has end 1; a loop's arc has end 0
         return [Arc(t, eid, int(t > w)) for t, eid, w in [*reversed(rise), *across, *fall]]
 
-    for r in range(g.n):
-        base = r * (d + 1)  # depth i from r is stamped r·(d + 1) + i
-        far = base + d
-        _, cross = _bfs(adj, r, gir, marks, base, r)
-        more: dict[int, list[tuple[int, int]]] = {}  # depth-d vertices' other parents
-        for x, y, eid in cross:
-            dx, dy = depth[x], depth[y]
-            if dx == dy == far:
-                if y >= x:
-                    walks.append(walk(x, [(x, eid, y)], y))
-            elif dy == far == dx + 1:
-                more.setdefault(y, []).append((x, eid))
-        for w, others in more.items():
-            ps = [(parent[w], up[w]), *others]
-            for i, (p, e) in enumerate(ps):
-                for q, f in ps[i + 1:]:
-                    walks.append(walk(p, [(p, e, w), (w, f, q)], q))
-    listed = Counter(a.edge for arcs in walks for a in arcs)
-    bad = sorted(eid for eid, c in report.epsilon.items() if listed[eid] != c)
-    if bad:
-        raise GirthInvariantViolation(f"ε is not the girth-cycle count of edges {bad}")
+    for r, nbrs in enumerate(adj):
+        far = r * (d + 1) + d  # depth i from r is stamped r·(d + 1) + i
+        order, cross = _bfs(adj, r, gir, marks, far - d, 0 if count else r)
+        if count and cycles:  # the BFS ran over all vertices: mark the paths above r
+            for v in order:
+                ok[v] = v == r or v > r and ok[parent[v]]
+        counts: dict[int, int] = {}  # by branch
+        parents: dict[int, set[int]] = {}  # the branches of depth-d vertices' parents
+        met: dict[int, list[tuple[int, int]]] = {}  # depth-d vertices' parents above r, as met
+        closing = []  # the depth-d vertices w > r with two such parents, as the second is met
+        for v, w, eid in cross:
+            dv, dw, b = depth[v], depth[w], branch[v]
+            if dv == dw == far:  # across layer d, seen from both ends
+                if cycles and w >= v and ok[v] and ok[w]:
+                    walks.append(walk(v, [(v, eid, w)], w))
+                if count and b != branch[w]:
+                    counts[b] = counts.get(b, 0) + 1
+                    continue
+            elif dw == far == dv + 1:  # another parent of w
+                if cycles and ok[v] and w > r:
+                    ps = met.setdefault(w, [(parent[w], up[w])] if ok[parent[w]] else [])
+                    ps.append((v, eid))
+                    if len(ps) == 2:
+                        closing.append((w, ps))
+                if count and even and b not in (bs := parents.setdefault(w, {branch[w]})):
+                    bs.add(b)
+                    continue
+            if count:
+                raise GirthInvariantViolation(
+                    f"edge {eid} closes a cycle shorter than the girth {gir} near vertex {r}"
+                )
+        for w, ps in closing:
+            walks += [walk(p, [(p, e, w), (w, f, q)], q) for (p, e), (q, f) in combinations(ps, 2)]
+        if not count:
+            continue
+        for bs in parents.values():
+            for b in bs:
+                counts[b] = counts.get(b, 0) + len(bs) - 1
+        for w, eid in nbrs:
+            c = counts.get(eid, 0)
+            if w > r:
+                eps[eid] = c
+            elif eps[eid] != c:
+                raise GirthInvariantViolation(
+                    f"edge {eid} lies on {eps[eid]} girth cycles counted from vertex {w}"
+                    f" but on {c} counted from vertex {r}"
+                )
+    del marks, depth, parent, up, branch, ok  # freed before the report is built
+    if count:
+        report = _keep_report(g, gir, eps)
+    if cycles:
+        listed = Counter(a.edge for arcs in walks for a in arcs)
+        bad = sorted(eid for eid, c in report.epsilon.items() if listed[eid] != c)
+        if bad:
+            raise GirthInvariantViolation(f"ε is not the girth-cycle count of edges {bad}")
     return walks
 
 
 def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """All girth cycles, each as its set of edge ids, listed against ε."""
-    return sorted((frozenset(a.edge for a in walk) for walk in _least_vertex_cycles(g)), key=sorted)
+    return sorted((frozenset(a.edge for a in walk) for walk in _rooted_pass(g, True)), key=sorted)
 
 
 # --- distance partitions ---

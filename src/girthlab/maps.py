@@ -21,7 +21,7 @@ from .errors import (
     OddGirth,
     WrongSignature,
 )
-from .girth import GirthReport, _least_vertex_cycles, girth_report
+from .girth import GirthReport, _rooted_pass, girth_report
 from .multigraph import Arc, MultiGraph
 from .schemes import DihedralScheme, TruncationResult, contract_cycles, least_rotation, truncate
 
@@ -178,15 +178,16 @@ def truncate_map(m: MapComplex) -> TruncationResult:
     return truncate(m.scheme_induced)
 
 
-def _regular_girth_report(g: MultiGraph, want: tuple[int, ...]) -> GirthReport:
+def _regular_girth_cycles(g: MultiGraph, want: tuple[int, ...]) -> tuple[GirthReport, list[list[Arc]]]:
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
     if not g.is_connected():
         raise Disconnected("decomposition needs a connected graph")
+    walks = _rooted_pass(g, True)
     report = girth_report(g)
     if report.regular != want:
         raise WrongSignature(f"signature {report.regular} != {want}")
-    return report
+    return report, walks
 
 
 def map_from_222(g: MultiGraph) -> MapComplex:
@@ -194,8 +195,7 @@ def map_from_222(g: MultiGraph) -> MapComplex:
     faces are its girth cycles; the Euler characteristic satisfies
     chi = n(3/g - 1/2) as an exact integer identity, since the 3n/g faces
     of length g cover each of the 3n/2 edges twice."""
-    _regular_girth_report(g, (2, 2, 2))
-    return build_map(g, [ClosedWalk.from_arcs(g, arcs) for arcs in _least_vertex_cycles(g)])
+    return build_map(g, [ClosedWalk.from_arcs(g, arcs) for arcs in _regular_girth_cycles(g, (2, 2, 2))[1]])
 
 
 def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
@@ -205,7 +205,7 @@ def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
     Y (on two); Y is a perfect matching, the X-cycles become the map's
     vertices and each girth cycle contracts to a face walk of length g/2.
     """
-    report = _regular_girth_report(g, (1, 1, 2))
+    report, cycles = _regular_girth_cycles(g, (1, 1, 2))
     if report.girth % 2:
         raise OddGirth(f"(1,1,2) graph reported odd girth {report.girth}")
     x_edges = sorted(eid for eid, c in report.epsilon.items() if c == 1)
@@ -215,18 +215,19 @@ def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
     if len(x_edges) + len(y_edges) != g.edge_count or not 2 * len(y_edges) == len(y_at) == g.n:
         raise GirthInvariantViolation("ε is not 1 on a 2-factor and 2 on a perfect matching")
 
-    # the X-cycles, numbered by least vertex, become the map's vertices
+    # each girth cycle alternates X and Y; its g/2 Y-arc tails, in one flat list, walk a face
     y_set = set(y_edges)
-    lam, arc_of = contract_cycles(g, y_set)
-
-    # each girth cycle alternates X and Y; its g/2 Y-edges walk a face
-    walks = []
-    for arcs in _least_vertex_cycles(g):
+    tails: list[int] = []
+    for arcs in cycles:
         on_y = [a.edge in y_set for a in arcs]
         if any(on_y[i] == on_y[i - 1] for i in range(len(arcs))):
             cyc = sorted(a.edge for a in arcs)
             raise GirthInvariantViolation(f"girth cycle {cyc} does not alternate between X and Y")
-        walks.append(ClosedWalk.from_arcs(lam, [arc_of[a.tail] for a, y in zip(arcs, on_y) if y]))
+        tails += [a.tail for a, y in zip(arcs, on_y) if y]
+    del cycles  # no arc is read again
 
-    m = build_map(lam, walks)
-    return m, {"X": x_edges, "Y": y_edges}
+    # the X-cycles, numbered by least vertex, become the map's vertices
+    lam, arc_of = contract_cycles(g, y_set)
+    half = report.girth // 2
+    faces = [ClosedWalk.from_arcs(lam, [arc_of[v] for v in tails[i:i + half]]) for i in range(0, len(tails), half)]
+    return build_map(lam, faces), {"X": x_edges, "Y": y_edges}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import random
@@ -623,6 +624,26 @@ def test_each_streaming_loop_holds_one_input_graph_at_a_time(
     main([*command, str(p)])
     capsys.readouterr()
     assert alive_at_parse == [0] * len(graphs)
+
+
+@pytest.mark.parametrize("layout", ["document", "array"])
+def test_no_list_holds_a_json_document_while_it_is_read(layout, tmp_path, monkeypatch, capsys):
+    # the parsed tree of a whole-file document or array is handed to the
+    # reader item by item, so the reader can drop each part once it is read
+    docs = [write_multigraph_json(g, unique_cubic_scheme(g)) for g in (families.prism(4), families.petersen())]
+    p = tmp_path / "graphs.json"
+    p.write_text(json.dumps(docs if layout == "array" else docs[0], indent=1))
+    read = cli.read_multigraph_json_full
+    holders = []
+
+    def read_and_look(doc, cap):
+        holders.append(sum(isinstance(r, list) for r in gc.get_referrers(doc)))
+        return read(doc, cap)
+
+    monkeypatch.setattr(cli, "read_multigraph_json_full", read_and_look)
+    main(["analyze", str(p)])
+    capsys.readouterr()
+    assert holders == [0] * (2 if layout == "array" else 1)
 
 
 def test_a_pipe_closed_before_the_first_flush_gets_no_traceback(petersen_file):

@@ -13,8 +13,7 @@ import pytest
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
 from girthlab.girth import (
-    _least_vertex_cycles,
-    _rooted_epsilon,
+    _rooted_pass,
     check_partition_facts,
     distance_partition,
     distance_partition_2path,
@@ -159,7 +158,7 @@ def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
     assert rep.girth == gir and rep.cycle_count == len(cycles)
     assert rep.epsilon == eps
     assert rep.signatures == naive_signatures(g)
-    walks = _least_vertex_cycles(g)
+    walks = _rooted_pass(g, True)
     _assert_closed_walks(g, walks, gir)
     assert Counter(a.edge for arcs in walks for a in arcs) == Counter(eps)
     listed = girth_cycles(g)
@@ -455,10 +454,10 @@ def test_path_counts_match_oracle_on_random_graphs():
 def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth):
     # a wrong girth breaks the partition facts the counts rest on; the
     # checks are raises, so they also hold under python -O. The rooted
-    # count meets a shorter cycle first, also for the listing, which reads
-    # the report; an ε that is not whole cycles fails conservation.
+    # pass meets a shorter cycle first, also when it lists; an ε that is
+    # not whole cycles fails conservation.
     mod = importlib.import_module("girthlab.girth")
-    g, real_girth, real_count = _fresh(g), mod.girth, mod._rooted_epsilon
+    g, real_girth, real_keep = _fresh(g), mod.girth, mod._keep_report
     monkeypatch.setattr(mod, "girth", lambda _g: wrong_girth)
     for run in (girth_report, girth_cycles):
         with pytest.raises(GirthInvariantViolation, match="shorter than the girth"):
@@ -466,11 +465,12 @@ def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth):
     monkeypatch.setattr(mod, "girth", real_girth)
     one_more = g.edges[0].id
     monkeypatch.setattr(
-        mod, "_rooted_epsilon",
-        lambda _g, gir: {eid: c + (eid == one_more) for eid, c in real_count(_g, gir).items()},
+        mod, "_keep_report",
+        lambda _g, gir, eps: real_keep(_g, gir, {eid: c + (eid == one_more) for eid, c in eps.items()}),
     )
-    with pytest.raises(GirthInvariantViolation, match="cycle-count conservation"):
-        girth_report(g)
+    for run in (girth_report, girth_cycles):
+        with pytest.raises(GirthInvariantViolation, match="cycle-count conservation"):
+            run(g)
 
 
 @pytest.mark.parametrize(
@@ -485,8 +485,11 @@ def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth):
     ],
 )
 def test_rooted_count_rejects_shorter_cycles(g, wrong_girth, message):
-    with pytest.raises(GirthInvariantViolation, match=f"{message} a cycle shorter than the girth"):
-        _rooted_epsilon(g, wrong_girth)
+    g = _fresh(g)
+    g._girth = wrong_girth
+    for cycles in (False, True):
+        with pytest.raises(GirthInvariantViolation, match=f"{message} a cycle shorter than the girth"):
+            _rooted_pass(g, cycles)
 
 
 def test_rooted_count_compares_both_ends():
@@ -494,9 +497,11 @@ def test_rooted_count_compares_both_ends():
     # vertex 0 the edge lies on no triangle, from vertex 3 on two
     g = families.complete(4)
     g._adj = tuple(tuple(p for p in nbrs if (v, p[0]) != (0, 3)) for v, nbrs in enumerate(g._adj))
-    with pytest.raises(GirthInvariantViolation, match="edge 2 lies on 0 girth cycles counted"
-                       " from vertex 0 but on 2 counted from vertex 3"):
-        _rooted_epsilon(g, 3)
+    g._girth = 3
+    for cycles in (False, True):
+        with pytest.raises(GirthInvariantViolation, match="edge 2 lies on 0 girth cycles counted"
+                           " from vertex 0 but on 2 counted from vertex 3"):
+            _rooted_pass(g, cycles)
 
 
 def test_signature_is_isomorphism_invariant():
@@ -667,7 +672,7 @@ def test_cycle_vertex_order_orientation():
     # each girth cycle is listed once, as a closed walk in walk order
     for g in (families.complete(4), families.petersen(), families.heawood(), THETA, TWO_LOOPS):
         rep = girth_report(g)
-        walks = _least_vertex_cycles(g)
+        walks = _rooted_pass(g, True)
         assert len(walks) == rep.cycle_count
         assert len({frozenset(a.edge for a in arcs) for arcs in walks}) == len(walks)
         _assert_closed_walks(g, walks, rep.girth)
@@ -675,62 +680,67 @@ def test_cycle_vertex_order_orientation():
 
 def test_report_and_listing_bytes_on_multigraphs():
     # the exact report, and the walk and list order of the girth cycles,
-    # on loops, parallel edges, disconnected and subdivided graphs:
-    # decompose_011 numbers its base vertices in the listing's order
+    # on loops, parallel edges, disconnected and subdivided graphs: the
+    # faces of map_from_222 and decompose_112 follow the listing's order.
+    # A graph that keeps its report lists over the vertices above each
+    # root; a fresh graph lists while it counts, list for list the same.
     rng = random.Random(17)
     graphs = [*RANDOM_GRAPHS, THETA, TWO_LOOPS, *(_subdivided(rng, g) for g in RANDOM_GRAPHS[::6])]
     digest = hashlib.sha256()
     for g in map(_fresh, graphs):
-        found = (girth_report(g), _least_vertex_cycles(g)) if girth(g) else None
+        found = (girth_report(g), _rooted_pass(g, True)) if girth(g) else None
         digest.update(repr(found).encode())
+        if found:
+            assert _rooted_pass(_fresh(g), True) == found[1]
     assert digest.hexdigest() == "b9a40a51cb2b5c3c71821ce007ac48ca54684b29595efac8e119d38e7f5e96d5"
 
 
 def test_decompositions_list_each_girth_cycle_once(monkeypatch):
-    # a decomposition runs at most one listing pass, and no girth search or
-    # rooted count when the graph keeps its report; a new graph gets one of
-    # each. decompose_011 lists none: it walks the cycles that the matching
+    # a decomposition runs one rooted pass, one BFS per vertex: on a new
+    # graph, after the girth search, it counts ε and lists the girth cycles
+    # together; on a graph that keeps its report it only lists.
+    # decompose_011 lists none: it walks the cycles that the matching
     # leaves. All of them, and the distance partitions, run one BFS routine.
     mod = importlib.import_module("girthlab.girth")
-    calls = {"_least_vertex_cycles": [], "_rooted_epsilon": [], "girth": []}
+    passes: list[tuple[bool, bool, int]] = []  # (cycles, counted, cycles listed)
+    real_pass = mod._rooted_pass
 
-    def spy(name):
-        real = getattr(mod, name)
+    def counted(g, cycles):
+        counting = g._report is None
+        walks = real_pass(g, cycles)
+        passes.append((cycles, counting, len(walks)))
+        return walks
 
-        def counted(*args):
-            result = real(*args)
-            calls[name].append(result)
-            return result
-
-        # each module that imported the name calls its own binding
-        for module in (mod, importlib.import_module("girthlab.maps"), importlib.import_module("girthlab.schemes")):
-            if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counted)
-
-    for name in calls:
-        spy(name)
-    for g, decompose, listings in (
-        (TRUNC_K4, decompose_011, 0),
-        (families.prism(8), decompose_112, 1),
-        (families.dodecahedron(), map_from_222, 1),
-    ):
-        rep = girth_report(g)
-        for fresh in (False, True):
-            if fresh:
-                g = _fresh(g)
-            for found in calls.values():
-                found.clear()
-            decompose(g)
-            assert [len(calls[name]) for name in calls] == [listings, int(fresh), int(fresh)], calls
-            assert [len(walks) for walks in calls["_least_vertex_cycles"]] == [rep.cycle_count] * listings
-
+    # each module that imported the name calls its own binding
+    for module in (mod, importlib.import_module("girthlab.maps")):
+        monkeypatch.setattr(module, "_rooted_pass", counted)
     roots: list[int] = []
     bfs = mod._bfs
     monkeypatch.setattr(mod, "_bfs", lambda adj, root, *rest: roots.append(root) or bfs(adj, root, *rest))
+    for g, decompose, cycles in (
+        (TRUNC_K4, decompose_011, False),
+        (families.prism(8), decompose_112, True),
+        (families.dodecahedron(), map_from_222, True),
+    ):
+        roots.clear()
+        girth(_fresh(g))
+        search = roots[:]
+        listed = girth_report(g).cycle_count * cycles
+        for fresh in (False, True):
+            if fresh:
+                g = _fresh(g)
+            passes.clear()
+            roots.clear()
+            decompose(g)
+            want = [(cycles, fresh, listed)] if cycles or fresh else []
+            assert passes == want, (decompose, passes)
+            assert roots == (search if fresh else []) + (list(range(g.n)) if want else []), decompose
+
     # the search scans each core component once, from its least vertex,
     # then runs from each core vertex of degree >= 3: the Petersen graph
     # with a pendant vertex at 3, beside a bare 7-cycle
     pairs = [e.ends for e in families.petersen().edges] + [(10 + i, 10 + (i + 1) % 7) for i in range(7)]
+    roots.clear()
     assert girth(from_edge_list(18, pairs + [(3, 17)])) == 5
     assert roots == [0, 10, *range(10)]
     g = _fresh(families.prism(8))

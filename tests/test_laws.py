@@ -198,7 +198,7 @@ def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
         return walk(self, skip)
 
     monkeypatch.setattr(MultiGraph, "_components", spy)
-    listings = _spy(monkeypatch, "girth", "_least_vertex_cycles")
+    passes = _spy(monkeypatch, "girth", "_rooted_pass")
     prism = families.prism(6)
     trunc = truncate(unique_cubic_scheme(families.complete(4))).graph
     rng = random.Random(8)
@@ -210,11 +210,11 @@ def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
         (classify_g5, families.mobius(7).relabeled(rng.sample(range(14), 14)), ["_ladder_labels"]),
     ):
         callers.clear()
-        listings.clear()
+        passes.clear()
         result = run(g)
         assert set(want) <= set(callers), (run, callers)
         if run is decompose_011:
-            assert listings == []
+            assert [cycles for _, cycles in passes] == [False]  # the count, no listing
         if run is classify_g5:
             assert result.case == PRISM_OR_MOBIUS
 
@@ -314,14 +314,15 @@ def test_decomposition_laws_hold_on_a_1020_vertex_truncation():
         assert r.applicable and r.holds is True, (law_id, r.witness)
 
 
-def _spy(monkeypatch, module: str, name: str) -> list[tuple]:
-    """Record the arguments of every call to girthlab.<module>.<name>, from
-    every girthlab module that binds it."""
+def _spy(monkeypatch, module: str, name: str, note=lambda *args: args) -> list:
+    """Record the arguments of every call to girthlab.<module>.<name>, or
+    what `note` makes of them at the call, from every girthlab module that
+    binds it."""
     original = getattr(importlib.import_module(f"girthlab.{module}"), name)
-    calls: list[tuple] = []
+    calls: list = []
 
     def spy(*args, **kwargs):
-        calls.append(args)
+        calls.append(note(*args))
         return original(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
@@ -333,16 +334,17 @@ def _spy(monkeypatch, module: str, name: str) -> list[tuple]:
 
 
 def test_check_all_laws_computes_each_quantity_once(monkeypatch):
-    counts = _spy(monkeypatch, "girth", "_rooted_epsilon")
+    # a rooted pass counts on a graph that keeps no report yet
+    passes = _spy(monkeypatch, "girth", "_rooted_pass", lambda g, cycles: (g, g._report is None))
     decompositions = _spy(monkeypatch, "schemes", "decompose_011")
     isomorphisms = _spy(monkeypatch, "isomorphism", "find_isomorphism")
     seen_011 = 0
     for gid, g in itertools.islice(corpus.iter_corpus(corpus.CUBIC_LE14), 200):
-        for calls in (counts, decompositions, isomorphisms):
+        for calls in (passes, decompositions, isomorphisms):
             calls.clear()
         gir = girth_report(g).girth
         check_all_laws(g)
-        assert [args[0] for args in counts] == [g], gid  # one rooted count, kept on g
+        assert [h for h, counted in passes if counted] == [g], gid  # one rooted count, kept on g
         assert len(decompositions) <= 1, gid
         seen_011 += len(decompositions)
         models = [args[1] for args in isomorphisms]

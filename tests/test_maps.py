@@ -11,7 +11,7 @@ import pytest
 import girthlab
 from girthlab import families
 from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
-from girthlab.girth import _least_vertex_cycles, girth_report
+from girthlab.girth import _rooted_pass, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.laws import _maps_onto
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
@@ -20,7 +20,7 @@ from girthlab.schemes import contract_cycles
 
 
 def walks_of_girth_cycles(g):
-    return [ClosedWalk.from_arcs(g, arcs) for arcs in _least_vertex_cycles(g)]
+    return [ClosedWalk.from_arcs(g, arcs) for arcs in _rooted_pass(g, True)]
 
 
 def test_build_map_tetrahedron():
@@ -237,7 +237,7 @@ def test_decompose_112_alternation_along_girth_cycles():
     g = families.prism(6)
     _, witness = decompose_112(g)
     y = set(witness["Y"])
-    walks = _least_vertex_cycles(g)
+    walks = _rooted_pass(g, True)
     assert len(walks) == girth_report(g).cycle_count
     for arcs in walks:
         assert len({a.edge for a in arcs}) == len(arcs) == 4
