@@ -249,7 +249,8 @@ _SEPARATORS = (",", ":")
 class Lazy:
     """A JSON list, or an object when `members` is set, whose items (for
     an object, (key, value) pairs) are `make` of each element of `source`,
-    made on demand each time it is iterated. The items are plain values."""
+    made on demand each time it is iterated. The items are plain values;
+    a list's item may also be a `Lazy` list of them."""
 
     __slots__ = ("source", "make", "members")
 
@@ -265,15 +266,13 @@ class Lazy:
 
 
 def _is_large(value: Any) -> bool:
-    return isinstance(value, Lazy) or (
-        type(value) is dict and any(map(_is_large, value.values()))
-    )
+    return isinstance(value, Lazy) or type(value) is dict and any(map(_is_large, value.values()))
 
 
 def json_tree(value: Any) -> Any:
     """The plain dicts and lists that a description stands for."""
     if isinstance(value, Lazy):
-        return dict(value) if value.members else list(value)
+        return dict(value) if value.members else [json_tree(x) if type(x) is Lazy else x for x in value]
     if type(value) is dict:
         return {k: json_tree(v) for k, v in value.items()}
     return value
@@ -283,11 +282,20 @@ def json_pieces(value: Any) -> Iterator[str]:
     """The text of json.dumps(json_tree(value), separators=(",", ":")), as
     one json.dumps call for a value with no `Lazy` part, else one call per
     run of plain members, per key before a large member and per _PIECE
-    items of a `Lazy`."""
+    items of a `Lazy`. A `Lazy` item of at most _PIECE items joins its
+    batch as a list; a batch with a longer one is written item by item."""
     if isinstance(value, Lazy):
         items, sep = iter(value), ""
         yield "{" if value.members else "["
         while batch := list(islice(items, _PIECE)):
+            if Lazy in map(type, batch):
+                batch = [json_tree(x) if type(x) is Lazy and len(x) <= _PIECE else x for x in batch]
+            if Lazy in map(type, batch):
+                for item in batch:
+                    yield sep
+                    yield from json_pieces(item)
+                    sep = ","
+                continue
             text = json.dumps(dict(batch) if value.members else batch, separators=_SEPARATORS)
             yield sep + text[1:-1]
             sep = ","
@@ -347,12 +355,8 @@ def read_multigraph_json_full(
         _check("id" in rec and "ends" in rec, "edge record needs 'id' and 'ends'")
         _check(_is_int(rec["id"]), "edge id must be an integer")
         ends = rec["ends"]
-        _check(
-            isinstance(ends, list)
-            and len(ends) in (1, 2)
-            and all(map(_is_int, ends)),
-            f"edge {rec.get('id')}: 'ends' must hold 1 or 2 vertex ids",
-        )
+        _check(isinstance(ends, list) and len(ends) in (1, 2) and all(map(_is_int, ends)),
+               f"edge {rec.get('id')}: 'ends' must hold 1 or 2 vertex ids")
         edges.append((rec["id"], tuple(ends)))
     del raw_edges
     g = MultiGraph(n, edges)
@@ -368,11 +372,8 @@ def read_multigraph_json_full(
             _check(isinstance(cyc, list), "rotation cycle must be a list of arc refs")
             arcs = []
             for ref in cyc:
-                _check(
-                    isinstance(ref, dict)
-                    and all(_is_int(ref.get(f)) for f in ("edge", "tail", "end")),
-                    "arc ref needs integer 'edge', 'tail', 'end'",
-                )
+                _check(isinstance(ref, dict) and all(_is_int(ref.get(f)) for f in ("edge", "tail", "end")),
+                       "arc ref needs integer 'edge', 'tail', 'end'")
                 arcs.append(Arc(ref["tail"], ref["edge"], ref["end"]))
             rotations.append(tuple(arcs))
         del raw
@@ -393,9 +394,7 @@ def multigraph_shape(
         "edges": Lazy(g.edges, lambda e: {"id": e.id, "ends": list(e.ends)}),
     }
     if scheme is not None:
-        doc["scheme"] = Lazy(
-            sorted(scheme.rotations), lambda v: [arc_ref(a) for a in scheme.rotation(v)]
-        )
+        doc["scheme"] = Lazy(sorted(scheme.rotations), lambda v: Lazy(scheme.rotation(v), arc_ref))
     return doc
 
 

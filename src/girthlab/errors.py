@@ -86,6 +86,10 @@ class EdgeCoverageViolation(GirthLabError):
     """Some edge does not lie on exactly two of the given closed walks."""
 
 
+class UnmatchedVertex(GirthLabError):
+    """A vertex meets no edge of the set given as a perfect matching."""
+
+
 class NotDihedral(GirthLabError):
     """The relation induced by the face walks is not a dihedral scheme."""
 

@@ -10,7 +10,6 @@ where its gate does not hold.
 
 from __future__ import annotations
 
-from collections import Counter
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -20,7 +19,7 @@ from .girth import girth_report
 from .isomorphism import DEFAULT_ISO_CAP, find_isomorphism
 from .maps import decompose_112, map_from_222
 from .multigraph import MultiGraph
-from .schemes import DihedralScheme, _truncation_pairs, contract_cycles, decompose_011, truncate
+from .schemes import DihedralScheme, _contraction, _truncation_pairs, decompose_011, truncate
 
 EXAMPLES_PER_BUCKET = 3
 
@@ -36,12 +35,7 @@ class LawResult(NamedTuple):
         return self.applicable and self.holds is False
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "law": self.law_id,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "witness": self.witness,
-        }
+        return {"law": self.law_id, "applicable": self.applicable, "holds": self.holds, "witness": self.witness}
 
 
 # classification cases
@@ -65,8 +59,9 @@ class _Case(NamedTuple):
 class Classification(_Case):
     """A classification case. `witness` is the decomposition the case
     rests on: (base, scheme) for Trunc011, (map, X/Y split) at signature
-    (1,1,2). `model` is the named graph that g was checked against. Each
-    case made without a detail gets a new empty one."""
+    (1,1,2). `model` is the named graph that an isomorphism search checked
+    g against; None for a ladder, which its own labels confirm. Each case
+    made without a detail gets a new empty one."""
 
     __slots__ = ()
 
@@ -79,50 +74,42 @@ class Classification(_Case):
         return {"case": self.case, "detail": self.detail}
 
 
-def _maps_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:
-    """Whether v -> mapping[v] is an isomorphism from g onto h: a bijection
-    that sends the edges of g, loops and multiplicities included, onto
-    the edges of h. One pass over the edges of each graph."""
-    if g.n != h.n or g.edge_count != h.edge_count or sorted(mapping) != list(range(h.n)):
-        return False
-    image = Counter(tuple(sorted(mapping[v] for v in e.ends)) for e in g.edges)
-    return image == Counter(e.ends for e in h.edges)
-
-
 def _truncation_of(g: MultiGraph, scheme: DihedralScheme) -> bool:
-    """Whether g is the truncation of the scheme under the vertex map that
-    its decomposition built: v goes to the truncation vertex of the arc
-    that contract_cycles gives it: g's mapped edges, sorted, must be the
-    truncation's distinct arc-position pairs, so no truncation is built."""
+    """Whether g is the truncation of the scheme when v goes to the position
+    of its arc in the base's arc table, read from one walk of g without the
+    base's edges: g's mapped edges, sorted, must be the truncation's
+    arc-position pairs. Neither a truncation nor a second base is built."""
     pairs = _truncation_pairs(scheme)
-    _, arc_of = contract_cycles(g, {e.id for e in scheme.base.edges})
-    # truncation vertex i is the base arc at position i of its arc table
-    mapping = scheme.base._arc_indices(arc_of)
-    return g.n == 2 * scheme.base.edge_count and sorted(mapping) == list(range(g.n)) and (
+    base = scheme.base
+    mapping = _contraction(g, {e.id for e in base.edges}, base)[2]
+    return g.n == 2 * base.edge_count and sorted(mapping) == list(range(g.n)) and (
         sorted(tuple(sorted(mapping[v] for v in e.ends)) for e in g.edges) == pairs)
 
 
-def _ladder_labels(g: MultiGraph, coloring: dict[str, list[int]], prism: bool) -> list[int]:
-    """Number a (1,1,2) ladder the way families.prism / families.mobius do:
-    send the i-th vertex of the X-cycle through vertex 0, as the component
-    walk lists it without the Y-edges, to i; on a prism, send that
-    vertex's Y-partner to n + i."""
-    walk = g._components(set(coloring["Y"]))[0]
+def _is_ladder(g: MultiGraph, y_edges: list[int], prism: bool) -> bool:
+    """Whether g, simple and cubic, is the ladder of families.prism or
+    families.mobius under their numbering: vertex i of the X-cycle through
+    0, as the component walk lists it without the Y-edges, is i; on a prism
+    its Y-partner is n + i. The labels must be a bijection, and each edge
+    a rung i ~ i + n or a ring step, mod n on a prism, mod 2n otherwise."""
+    n = g.n // 2
     labels = [-1] * g.n
-    for i, v in enumerate(walk):
+    for i, v in enumerate(g._components(set(y_edges))[0]):
         labels[v] = i
     if prism:
-        for eid in coloring["Y"]:
+        for eid in y_edges:
             u, v = sorted(g.edge(eid).ends, key=labels.__getitem__)  # u is unlabelled: -1
-            labels[u] = labels[v] + g.n // 2
-    return labels
+            labels[u] = labels[v] + n
+    steps = (1, n, n - 1 if prism else 2 * n - 1)
+    return sorted(labels) == list(range(g.n)) and all(
+        abs(labels[u] - labels[v]) in steps for u, v in (e.ends for e in g.edges))
 
 
 def classify_g5(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> Classification:
     """Place a connected cubic girth-regular graph of girth <= 5 into its
     classification case. A prism or Möbius ladder is confirmed by checking
-    the labelling its X-cycles and Y-rungs give it, a fixed named model by
-    an isomorphism search."""
+    the labelling its X-cycles and Y-rungs give it, edge by edge, with no
+    model built; a fixed named model by an isomorphism search."""
     if not g.is_simple or not g.is_connected() or g.is_regular() != 3:
         raise PreconditionViolation("classifier needs a simple connected cubic graph")
     report = girth_report(g)
@@ -134,10 +121,11 @@ def classify_g5(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> Classification
     gir = report.girth
 
     def confirmed(
-        case: str, model: MultiGraph, detail: dict[str, Any], witness: Any = None, labels: list[int] | None = None
+        case: str, model: MultiGraph | None, detail: dict[str, Any], witness: Any = None, found: bool = False
     ) -> Classification:
-        # a ladder is checked under its own labels, a fixed model by search
-        found = _maps_onto(g, model, labels) if labels else find_isomorphism(g, model, cap=iso_cap) is not None
+        # a fixed model is confirmed by search, a ladder by its own labels
+        if model is not None:
+            found = find_isomorphism(g, model, cap=iso_cap) is not None
         if not found:
             detail = {"girth": gir, "signature": list(sig), "reason": f"not isomorphic to {case}"}
             case = OUTSIDE
@@ -154,13 +142,12 @@ def classify_g5(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> Classification
         if sig == (2, 2, 2):
             return confirmed(Q3, families.cube_q3(), {})
         if sig == (1, 1, 2):
-            n = g.n // 2
             split = decompose_112(g)
             comps = split[0].skeleton.n  # the X-cycles
             if comps in (1, 2):
-                family, model = ("prism", families.prism(n)) if comps == 2 else ("mobius", families.mobius(n))
-                labels = _ladder_labels(g, split[1], prism=comps == 2)
-                return confirmed(PRISM_OR_MOBIUS, model, {"family": family, "n": n}, split, labels)
+                family = "prism" if comps == 2 else "mobius"
+                ladder = _is_ladder(g, split[1]["Y"], prism=comps == 2)
+                return confirmed(PRISM_OR_MOBIUS, None, {"family": family, "n": g.n // 2}, split, ladder)
             detail = {"girth": gir, "signature": list(sig), "reason": f"{comps} single-cycle components"}
             return Classification(OUTSIDE, detail, split)
     if gir == 5:
@@ -175,6 +162,8 @@ def canonical_graph(c: Classification) -> MultiGraph | None:
     """Re-expand a classification case to a concrete graph."""
     if c.case == TRUNC011:
         return truncate(c.witness[1]).graph
+    if c.case == PRISM_OR_MOBIUS:
+        return getattr(families, c.detail["family"])(c.detail["n"])
     return None if c.case == OUTSIDE else c.model
 
 
@@ -284,10 +273,8 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
     if cubic_gr and sig == (0, 1, 1):
         try:
             lam, scheme = decomposition(decompose_011)
-            ok = lam.is_regular() == gir and not lam.has_loops
             wit = {"baseVertices": lam.n, "baseRegular": lam.is_regular()}
-            if ok:
-                ok = _truncation_of(g, scheme)
+            ok = lam.is_regular() == gir and not lam.has_loops and _truncation_of(g, scheme)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
         found["thm3.6"] = (ok, wit)
@@ -315,9 +302,7 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
                     "skeletonVertices": m.skeleton.n,
                     "matching": len(coloring["Y"]),
                 }
-                ok = len(coloring["Y"]) == g.n // 2
-                if ok:
-                    ok = _truncation_of(g, m.scheme_induced)
+                ok = len(coloring["Y"]) == g.n // 2 and _truncation_of(g, m.scheme_induced)
         except GirthLabError as exc:
             ok, wit = False, {"error": str(exc)}
         found["thm3.11"] = (ok, wit)
@@ -372,15 +357,9 @@ class CensusResult(SimpleNamespace):
         )
 
     def sorted_buckets(self) -> list[CensusBucket]:
-        def key(b: CensusBucket):
-            return (
-                b.girth is None,
-                b.girth if b.girth is not None else 0,
-                b.signature is None,
-                b.signature or (),
-            )
-
-        return sorted(self.buckets.values(), key=key)
+        """By girth, forests last; within a girth by signature, non-regular last."""
+        return sorted(self.buckets.values(),
+                      key=lambda b: (b.girth is None, b.girth or 0, b.signature is None, b.signature or ()))
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -5,15 +5,17 @@ vertex; the symmetric 2-regular relation on arcs is derived from
 consecutiveness. Rotations are normalized (least arc first, lesser
 direction) so equal schemes compare and serialize identically.
 
-`contract_cycles` and `decompose_011` take the cycles that a graph leaves
-without a perfect matching from `MultiGraph._components`, in O(n).
+`contract_cycles`, `decompose_011` and the laws' truncation check each read
+one walk of a graph without a perfect matching, `_contraction`, in O(n).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence, TypeVar
 
-from .errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
+from .errors import (
+    GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, UnmatchedVertex, WrongSignature,
+)
 from .girth import girth_report
 from .multigraph import Arc, MultiGraph, _is_int
 
@@ -140,29 +142,40 @@ def unique_cubic_scheme(g: MultiGraph) -> DihedralScheme:
     return DihedralScheme.from_rotations(g, [g.out_arcs(v) for v in range(g.n)])
 
 
-def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list[Arc]]:
-    """Contract each cycle that g leaves without the perfect matching M.
-
-    Λ has one vertex per component of g - M, numbered by least vertex, and
-    the edges of M under their ids in g. Vertex v of g becomes the end of
-    its M-edge at its own component: arc_of[v]; a loop of Λ has end 0 at
-    its lesser vertex in g. decompose_011 and decompose_112 build Λ so,
-    and the laws check their theorems through arc_of in O(m).
-    """
+def _contraction(g: MultiGraph, matching: set[int],
+                 base: MultiGraph | None = None) -> tuple[MultiGraph, list[list[int]], list[int]]:
+    """One walk of g - M: its cycles, by least vertex; Λ, built from them
+    unless `base` is given; and the position in Λ's arc table of each
+    vertex's arc, the end of its M-edge at its cycle (end 0 of a loop at
+    the lesser vertex in g). UnmatchedVertex if M misses a vertex."""
     cycles = g._components(matching)
     component = [0] * g.n
     for c, cycle in enumerate(cycles):
         for v in cycle:
             component[v] = c
-    m_at = {v: eid for eid in matching for v in g.edge(eid).ends}
-    lam = MultiGraph(len(cycles), [(eid, [component[v] for v in g.edge(eid).ends]) for eid in matching])
-    arc_of = []
-    for v in range(g.n):
-        eid = m_at.get(v, -1)  # at a vertex that M misses, lam.edge raises NotAnEdge
-        ends = lam.edge(eid).ends
-        end = ends.index(component[v]) if len(ends) == 2 else g.edge(eid).ends.index(v)
-        arc_of.append(lam.arcs_of_edge(eid)[end])
-    return lam, arc_of
+    ends = [(eid, g.edge(eid).ends) for eid in matching]
+    if base is None:
+        base = MultiGraph(len(cycles), [(eid, [component[v] for v in e]) for eid, e in ends])
+    position = base._arc_table().position
+    at = [-1] * g.n
+    for eid, e in ends:
+        flip = component[e[0]] > component[e[-1]]  # Λ lists the lesser cycle first
+        for end, v in enumerate(e):
+            at[v] = position[2 * eid + (end ^ flip)]
+    if -1 in at:
+        raise UnmatchedVertex(f"vertex {at.index(-1)} meets no edge of the matching")
+    return base, cycles, at
+
+
+def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list[Arc]]:
+    """Contract each cycle that g leaves without the perfect matching M.
+
+    Λ has one vertex per component of g - M, numbered by least vertex, and
+    the edges of M under their ids in g. Vertex v of g becomes the end of
+    its M-edge at its own component, read from Λ's arc table: arc_of[v]."""
+    lam, _, at = _contraction(g, matching)
+    arcs = lam._arc_table().arcs
+    return lam, [arcs[p] for p in at]
 
 
 def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
@@ -186,11 +199,11 @@ def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
     covered = {v for eid in matching for v in g.edge(eid).ends}
     if not 2 * len(matching) == len(covered) == g.n:
         raise GirthInvariantViolation("the edges on no girth cycle are not a perfect matching")
-    lam, arc_of = contract_cycles(g, matching)
+    lam, cycles, at = _contraction(g, matching)
     # every girth cycle avoids M, so each must be a whole cycle of g - M
-    cycles = g._components(matching)
     if len(cycles) != report.cycle_count or any(len(c) != report.girth for c in cycles):
         raise GirthInvariantViolation("the girth cycles are not the cycles left by the matching")
     if lam.has_loops:
         raise GirthInvariantViolation("an edge counted on no girth cycle joins two vertices of one")
-    return lam, DihedralScheme.from_rotations(lam, [[arc_of[v] for v in cycle] for cycle in cycles])
+    arcs = lam._arc_table().arcs
+    return lam, DihedralScheme.from_rotations(lam, [[arcs[at[v]] for v in cycle] for cycle in cycles])

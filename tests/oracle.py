@@ -2,13 +2,14 @@
 
 Everything here is deliberately written against different algorithms
 than the production code: girth by edge-deletion distances, cycle counts
-by exhaustive DFS enumeration, and a second graph6 reader and graph6 and
-sparse6 writers working on a whole bit string.
+by exhaustive DFS enumeration, isomorphism by comparing edge multisets,
+and a second graph6 reader and graph6 and sparse6 writers working on a
+whole bit string.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from girthlab.multigraph import MultiGraph
 
@@ -22,6 +23,16 @@ def _adj(g: MultiGraph) -> list[list[tuple[int, int]]]:
         adj[u].append((v, e.id))
         adj[v].append((u, e.id))
     return adj
+
+
+def _maps_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:
+    """Whether v -> mapping[v] is an isomorphism from g onto h: a bijection
+    that sends the edges of g, loops and multiplicities included, onto
+    the edges of h. One pass over the edges of each graph."""
+    if g.n != h.n or g.edge_count != h.edge_count or sorted(mapping) != list(range(h.n)):
+        return False
+    image = Counter(tuple(sorted(mapping[v] for v in e.ends)) for e in g.edges)
+    return image == Counter(e.ends for e in h.edges)
 
 
 def naive_girth(g: MultiGraph) -> int | None:

@@ -18,7 +18,7 @@ from girthlab.errors import GirthLabError
 from girthlab.girth import girth_report
 from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import from_edge_list
-from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
+from girthlab.schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
 
 PIECES = (1, 7)
 SEPARATORS = (",", ":")
@@ -138,6 +138,17 @@ def test_empty_and_nested_lazy_parts(monkeypatch, piece):
     text = "".join(codec.json_pieces(doc))
     assert text == json.dumps(codec.json_tree(doc), separators=SEPARATORS)
     assert text.startswith('{"a":[],"b":{"c":{},"d":1},"e":{"k0":[0],')
+
+
+@pytest.mark.parametrize("piece", PIECES)
+def test_a_rotation_longer_than_a_piece_is_written_in_pieces(monkeypatch, piece):
+    k18 = families.complete(18)
+    scheme = DihedralScheme.from_rotations(k18, [k18.out_arcs(v) for v in k18])
+    monkeypatch.setattr(codec, "_PIECE", piece)
+    pieces = list(codec.json_pieces(codec.multigraph_shape(k18, scheme)))
+    assert "".join(pieces) == json.dumps(write_multigraph_json(k18, scheme), separators=SEPARATORS)
+    # each of the 17 arcs of a rotation is a list item of its own
+    assert max(p.count('"edge"') for p in pieces) == piece
 
 
 class Sink:

@@ -18,6 +18,7 @@ from girthlab.errors import (
     InfiniteGirth,
     InvalidScheme,
     PreconditionViolation,
+    UnmatchedVertex,
 )
 from girthlab.girth import girth_report
 from girthlab.isomorphism import are_isomorphic
@@ -30,7 +31,6 @@ from girthlab.laws import (
     PRISM_OR_MOBIUS,
     Q3,
     TRUNC011,
-    _maps_onto,
     _truncation_of,
     canonical_graph,
     census,
@@ -46,7 +46,7 @@ from girthlab.schemes import (
     truncate,
     unique_cubic_scheme,
 )
-from oracle import naive_epsilon, naive_girth, naive_girth_cycles, naive_signatures
+from oracle import _maps_onto, naive_epsilon, naive_girth, naive_girth_cycles, naive_signatures
 
 
 def law(results, law_id):
@@ -204,19 +204,85 @@ def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
     rng = random.Random(8)
     for run, g, want in (
         (MultiGraph.is_connected, families.petersen(), ["is_connected"]),
-        (lambda g: contract_cycles(g, {e.id for e in g.edges if e.ends[1] - e.ends[0] == 6}), prism, ["contract_cycles"]),
-        (decompose_011, trunc, ["contract_cycles", "decompose_011"]),
-        (classify_g5, prism.relabeled(rng.sample(range(12), 12)), ["_ladder_labels"]),
-        (classify_g5, families.mobius(7).relabeled(rng.sample(range(14), 14)), ["_ladder_labels"]),
+        (lambda g: contract_cycles(g, {e.id for e in g.edges if e.ends[1] - e.ends[0] == 6}), prism, ["_contraction"]),
+        (decompose_011, trunc, ["_contraction"]),
+        (classify_g5, prism.relabeled(rng.sample(range(12), 12)), ["_is_ladder"]),
+        (classify_g5, families.mobius(7).relabeled(rng.sample(range(14), 14)), ["_is_ladder"]),
     ):
         callers.clear()
         passes.clear()
         result = run(g)
         assert set(want) <= set(callers), (run, callers)
         if run is decompose_011:
+            assert callers == want  # one walk gives Λ and the rotations
             assert [cycles for _, cycles in passes] == [False]  # the count, no listing
         if run is classify_g5:
             assert result.case == PRISM_OR_MOBIUS
+
+
+def test_the_decomposition_laws_build_no_second_graph(monkeypatch):
+    # thm3.6, thm3.11 and the ladder check read the one Λ that the
+    # decomposition built: no model graph, no second Λ, no arc lookups
+    builds, lookups, walks = [], [], []
+    init, indices, walk = MultiGraph.__init__, MultiGraph._arc_indices, MultiGraph._components
+
+    def counted_init(self, *args):
+        builds.append(sys._getframe(1).f_code.co_name)
+        init(self, *args)
+
+    def counted_indices(self, arcs):
+        lookups.append(sys._getframe(1).f_code.co_name)
+        return indices(self, arcs)
+
+    def counted_walk(self, skip=()):
+        walks.append(sys._getframe(1).f_code.co_name)
+        return walk(self, skip)
+
+    rng = random.Random(3)
+    graphs = [families.prism(7).relabeled(rng.sample(range(14), 14)),
+              families.mobius(6).relabeled(rng.sample(range(12), 12)),
+              truncate(unique_cubic_scheme(families.prism(4))).graph]
+    named = [name for name, f in vars(families).items()
+             if callable(f) and getattr(f, "__module__", None) == families.__name__]
+    calls = [_spy(monkeypatch, "families", name) for name in named]
+    monkeypatch.setattr(MultiGraph, "__init__", counted_init)
+    monkeypatch.setattr(MultiGraph, "_arc_indices", counted_indices)
+    monkeypatch.setattr(MultiGraph, "_components", counted_walk)
+    for g in graphs:
+        builds.clear()
+        walks.clear()
+        results = check_all_laws(g)
+        assert law(results, "thm-main").holds is True
+        assert builds == ["_contraction"], builds
+        assert "_truncation_of" not in lookups
+        # one walk of g - M for the decomposition, one for its law's vertex map
+        assert walks.count("_contraction") == 2
+    assert not any(calls)
+
+
+@pytest.mark.parametrize("eid", [-1, -2])
+def test_contract_cycles_names_a_vertex_the_matching_misses(eid):
+    # the edge ids play no part: -1 is no marker for a missing edge
+    g = MultiGraph(4, [(eid, (0, 3)), (5, (0, 1)), (6, (1, 2)), (7, (2, 0))])
+    with pytest.raises(UnmatchedVertex, match="vertex 1 meets no edge"):
+        contract_cycles(g, {eid})
+
+
+def test_a_ladder_is_confirmed_by_its_rungs_and_rings():
+    n = 7
+    rings = [(i, (i + 1) % n) for i in range(n)] + [(n + i, n + (i + 1) % n) for i in range(n)]
+    # two n-cycles joined by a perfect matching that twists the second ring
+    twisted = from_edge_list(2 * n, rings + [(i, n + 2 * i % n) for i in range(n)])
+    prism, mobius = families.prism(n), families.mobius(n)
+    rungs = lambda g: [e.id for e in g.edges if e.ends[1] - e.ends[0] == n]
+    twist = list(range(2 * n, 3 * n))
+    for g, y, is_prism, want in (
+        (prism, rungs(prism), True, True),
+        (mobius, rungs(mobius), False, True),
+        (twisted, twist, True, False),
+        (twisted, twist, False, False),
+    ):
+        assert laws._is_ladder(g, y, is_prism) is want, (g, is_prism)
 
 
 def test_searches_only_against_named_models(monkeypatch):

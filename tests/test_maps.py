@@ -13,10 +13,10 @@ from girthlab import families
 from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
 from girthlab.girth import _rooted_pass, girth_report
 from girthlab.isomorphism import are_isomorphic
-from girthlab.laws import _maps_onto
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
 from girthlab.schemes import contract_cycles
+from oracle import _maps_onto
 
 
 def walks_of_girth_cycles(g):

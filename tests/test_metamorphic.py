@@ -1,6 +1,8 @@
 """Relabelling invariance: a seeded vertex permutation together with a
 seeded injective map of the edge ids into a sparse range, negative ids
-included, changes no girth fact, law verdict or classification.
+included, changes no girth fact, law verdict or classification; nor does
+writing a graph through each codec that carries it and verifying it from
+the file.
 
 The least-vertex filter of the girth-cycle listing depends on the labels,
 and so does the order in which the rooted pass meets edges: the original
@@ -10,9 +12,12 @@ each root), the relabelled one while it counts (over all vertices).
 
 from __future__ import annotations
 
+import json
 import random
 
-from girthlab import corpus, families
+from girthlab import cli, corpus, families
+from girthlab.codec import write_graph6, write_multigraph_json, write_sparse6
+from girthlab.errors import GirthLabError
 from girthlab.girth import girth, girth_cycles, girth_report
 from girthlab.laws import (
     DODECAHEDRON, K4, K33, PETERSEN, PRISM_OR_MOBIUS, Q3, TRUNC011, check_all_laws, classify_g5,
@@ -92,3 +97,28 @@ def test_relabelling_changes_no_girth_fact_law_or_case():
         assert _case(h) == case, g
         cases.add(case and case[0])
     assert {TRUNC011, PRISM_OR_MOBIUS, K4, K33, Q3, PETERSEN, DODECAHEDRON} <= cases
+
+
+def _verdicts(g: MultiGraph) -> list | str:
+    """(law, applicable, holds) of each law, or why verify skips g."""
+    try:
+        return [[r.law_id, r.applicable, r.holds] for r in check_all_laws(g)]
+    except GirthLabError as exc:
+        return str(exc)
+
+
+def test_every_codec_carries_the_law_verdicts(tmp_path, capsys):
+    # graph6 and sparse6 renumber the edge ids, so the laws read new arc
+    # maps and ladder labels
+    graphs = _sample()
+    for name, write in (("g6", write_graph6), ("s6", write_sparse6),
+                        ("json", lambda g: json.dumps(write_multigraph_json(g)))):
+        carried = [g for g in graphs if g.is_simple or name != "g6"]
+        path = tmp_path / f"sample.{name}"
+        path.write_text("".join(write(g) + "\n" for g in carried))
+        assert cli.main(["verify", "--format", "json", str(path)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        got = [r.get("skipped") or [[law["law"], law["applicable"], law["holds"]] for law in r["laws"]]
+               for r in records]
+        assert got == [_verdicts(g) for g in carried], name
+        assert len(carried) >= 60
