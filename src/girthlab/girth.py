@@ -15,9 +15,9 @@ above a base of its own, so no root resets the marks. Three consumers:
   (g = 2d+1) or two parents of one depth-d vertex (g = 2d), and adds 1 to
   both branches for ε; any other non-tree edge closes a shorter cycle. The
   counts of an edge from its two ends must agree. On request it lists each
-  girth cycle once, from its least vertex r, where both tree paths stay
-  above r; the cycles must add up to ε. A graph keeps its report, and on
-  one that does, the pass lists over the vertices above r and counts none.
+  girth cycle once, as arc keys, from its least vertex r, where both tree
+  paths stay above r; they must add up to ε. A graph keeps its report, and
+  on one that does, the pass lists over the vertices above r and counts none.
 - `_partition` intersects the balls of radius d + 1 around two vertices.
 
 The two-path counts at a cubic vertex solve a linear system over the
@@ -33,7 +33,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .codec import Lazy, json_tree
 from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
-from .multigraph import Arc, MultiGraph, _is_int
+from .multigraph import MultiGraph, _is_int
 
 # each vertex's depth stamp, parent, tree edge and branch, indexed by vertex
 Marks = tuple[Any, Any, Any, Any]
@@ -211,12 +211,13 @@ def epsilon(g: MultiGraph, eid: int) -> int:
     return girth_report(g).epsilon[g.edge(eid).id]
 
 
-def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
+def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[int]]:
     """One BFS of radius d = ⌊g/2⌋ per root r (see the module docstring):
     over all vertices to count ε and keep the report, or, if g keeps one,
     over the vertices above r. With `cycles` it returns each girth cycle
-    once, as its arcs in walk order from its least vertex r: r..x y..r for
-    an edge xy, x ≤ y, joining two depth-d vertices (odd girth, a loop at
+    once, as the keys 2·edge + end (those of ArcTable.position) of its arcs
+    in walk order from its least vertex r, building no arc: r..x y..r for an
+    edge xy, x ≤ y, joining two depth-d vertices (odd girth, a loop at
     d = 0), r..p w q..r for two parents p, q of a depth-d vertex w (even)."""
     report = g._report
     gir = _require_finite(g) if report is None else report.girth
@@ -224,7 +225,7 @@ def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
         mult = Counter(e.ends for e in g.edges)
         report = _keep_report(g, gir, {e.id: int(e.is_loop) if gir == 1 else mult[e.ends] - 1 for e in g.edges})
     count = report is None
-    walks: list[list[Arc]] = []
+    walks: list[list[int]] = []
     if not (count or cycles):
         return walks
     d, even, adj = gir // 2, gir % 2 == 0, g._adj
@@ -232,7 +233,7 @@ def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
     depth, parent, up, branch = marks = _marks(g.n)
     ok = [True] * g.n if cycles else []  # whether a vertex's tree path stays above the root r
 
-    def walk(x: int, across: list[tuple[int, int, int]], y: int) -> list[Arc]:
+    def walk(x: int, across: list[tuple[int, int, int]], y: int) -> list[int]:
         """Up the tree from r to x, the steps `across` to y, down to r."""
         rise, fall = [], []
         while x != r:
@@ -242,7 +243,7 @@ def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
             fall.append((y, up[y], parent[y]))
             y = parent[y]
         # an edge's arc from its greater end has end 1; a loop's arc has end 0
-        return [Arc(t, eid, int(t > w)) for t, eid, w in [*reversed(rise), *across, *fall]]
+        return [2 * eid + (t > w) for t, eid, w in [*reversed(rise), *across, *fall]]
 
     for r, nbrs in enumerate(adj):
         far = r * (d + 1) + d  # depth i from r is stamped r·(d + 1) + i
@@ -295,7 +296,7 @@ def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
     if count:
         report = _keep_report(g, gir, eps)
     if cycles:
-        listed = Counter(a.edge for arcs in walks for a in arcs)
+        listed = Counter(key >> 1 for keys in walks for key in keys)
         bad = sorted(eid for eid, c in report.epsilon.items() if listed[eid] != c)
         if bad:
             raise GirthInvariantViolation(f"ε is not the girth-cycle count of edges {bad}")
@@ -304,7 +305,7 @@ def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[Arc]]:
 
 def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """All girth cycles, each as its set of edge ids, listed against ε."""
-    return sorted((frozenset(a.edge for a in walk) for walk in _rooted_pass(g, True)), key=sorted)
+    return sorted((frozenset(key >> 1 for key in walk) for walk in _rooted_pass(g, True)), key=sorted)
 
 
 # --- distance partitions ---

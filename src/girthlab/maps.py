@@ -1,10 +1,11 @@
 """Combinatorial 2-cell maps: skeleton + face walks + Euler characteristic.
 
-A map is stored purely combinatorially. Validity is the closed-walk
-double cover condition (every edge on exactly two face walks) together
-with the induced arc relation being a dihedral scheme; the Euler
-characteristic |V| - |E| + |F| is recorded, with odd values flagged as
-forcing non-orientability. No surface is ever built.
+A map is stored purely combinatorially. Its face walks are checked as
+arc-table positions, from one lookup of a walk given as arcs, or from the
+girth listing's keys and the (1,1,2) contraction: every edge on exactly two
+walks, and the induced arc relation a dihedral scheme. The Euler
+characteristic |V| - |E| + |F| is recorded, odd values flagged as forcing
+non-orientability. No surface is ever built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .girth import GirthReport, _rooted_pass, girth_report
 from .multigraph import Arc, MultiGraph
-from .schemes import DihedralScheme, TruncationResult, contract_cycles, least_rotation, truncate
+from .schemes import DihedralScheme, TruncationResult, _contraction, least_rotation, truncate
 
 
 class ClosedWalk:
@@ -42,25 +43,7 @@ class ClosedWalk:
 
     @classmethod
     def from_arcs(cls, g: MultiGraph, arcs: Sequence[Arc]) -> "ClosedWalk":
-        try:
-            arcs = tuple(arcs)
-        except TypeError:
-            raise EdgeCoverageViolation(f"walk {arcs!r} is not a sequence of arcs") from None
-        if not arcs:
-            raise EdgeCoverageViolation("empty walk")
-        ps = g._arc_indices(arcs)
-        if -1 in ps:
-            raise EdgeCoverageViolation(f"{arcs[ps.index(-1)]} is not an arc of the graph")
-        table = g._arc_table()
-        inverse = [table.arcs[table.inverse[p]] for p in ps]
-        for i, a in enumerate(arcs):
-            b = arcs[(i + 1) % len(arcs)]
-            if inverse[i].tail != b.tail:
-                raise EdgeCoverageViolation(f"arcs {a} and {b} do not chain")
-        edge_ids = [a.edge for a in arcs]
-        if len(set(edge_ids)) != len(edge_ids):
-            raise EdgeCoverageViolation("walk traverses an edge twice")
-        return cls(min(least_rotation(arcs), least_rotation(inverse[::-1])))
+        return _face(g, _positions(g, arcs))[0]
 
     def __len__(self) -> int:
         return len(self._arcs)
@@ -80,6 +63,35 @@ class ClosedWalk:
 
     def __repr__(self) -> str:
         return f"ClosedWalk(arcs={self._arcs!r})"
+
+
+def _positions(g: MultiGraph, arcs: Sequence[Arc]) -> list[int]:
+    """The walk's arcs looked up once in g's arc table; EdgeCoverageViolation if any is not g's."""
+    try:
+        arcs = tuple(arcs)
+    except TypeError:
+        raise EdgeCoverageViolation(f"walk {arcs!r} is not a sequence of arcs") from None
+    if not arcs:
+        raise EdgeCoverageViolation("empty walk")
+    ps = g._arc_indices(arcs)
+    if -1 in ps:
+        raise EdgeCoverageViolation(f"{arcs[ps.index(-1)]} is not an arc of the graph")
+    return ps
+
+
+def _face(g: MultiGraph, ps: Sequence[int]) -> tuple[ClosedWalk, tuple[int, ...]]:
+    """The walk at positions ps of g's arc table, if it chains and passes no
+    edge twice, normalized, and its positions: these are in arc order, so
+    normalizing them picks the walk that normalizing the arcs would."""
+    arcs, _, inverse, _ = g._arc_table()
+    back = [inverse[p] for p in ps]
+    for p, s, q in zip(ps, back, [*ps[1:], ps[0]]):
+        if arcs[s].tail != arcs[q].tail:
+            raise EdgeCoverageViolation(f"arcs {arcs[p]} and {arcs[q]} do not chain")
+    if len({min(p, s) for p, s in zip(ps, back)}) != len(ps):  # an edge's two arcs share the lesser
+        raise EdgeCoverageViolation("walk traverses an edge twice")
+    best = min(least_rotation(ps), least_rotation(back[::-1]))
+    return ClosedWalk(tuple([arcs[p] for p in best])), best
 
 
 class MapComplex(NamedTuple):
@@ -108,38 +120,34 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
     """Assemble a map from face walks covering every edge exactly twice."""
     if not g.is_connected():
         raise Disconnected("map skeleton must be connected")
-    normalized: list[ClosedWalk] = []
-    positions: list[list[int]] = []  # each walk's arcs in g's arc table
     try:
         walks = iter(walks)
     except TypeError:
         raise EdgeCoverageViolation(f"walks {walks!r} are not a sequence of walks") from None
-    for w in walks:
-        w = w if isinstance(w, ClosedWalk) else ClosedWalk.from_arcs(g, w)
-        ps = g._arc_indices(w.arcs)
-        if -1 in ps:
-            raise EdgeCoverageViolation(f"{w.arcs[ps.index(-1)]} is not an arc of the graph")
-        normalized.append(w)
-        positions.append(ps)
+    return _assemble(g, (_positions(g, w.arcs if isinstance(w, ClosedWalk) else w) for w in walks))
 
-    coverage: dict[int, int] = {e.id: 0 for e in g.edges}
-    for w in normalized:
-        for eid in w.edge_ids:
-            coverage[eid] += 1
-    bad = {eid: c for eid, c in coverage.items() if c != 2}
-    if bad:
-        raise EdgeCoverageViolation(f"edges not on exactly two walks: {bad}")
 
+def _assemble(g: MultiGraph, faces: Iterable[Sequence[int]]) -> MapComplex:
+    """The map on the connected graph g whose faces are at these arc-table positions."""
+    walks: list[ClosedWalk] = []
     # consecutive face edges relate the two arcs pointing out of the
     # shared vertex; loops contribute their two arcs independently. Arcs
     # are positions in g's arc table, partners[p] those of arc p.
     arcs, start, inverse, _ = g._arc_table()
     partners: list[list[int]] = [[] for _ in arcs]
-    for ps in positions:
-        for a, b in zip(ps, ps[1:] + ps[:1]):
+    coverage: dict[int, int] = {e.id: 0 for e in g.edges}
+    for face in faces:
+        w, ps = _face(g, face)
+        walks.append(w)
+        for a, b in zip(ps, [*ps[1:], ps[0]]):
+            coverage[arcs[b].edge] += 1
             s = inverse[a]
             partners[s].append(b)
             partners[b].append(s)
+    bad = {eid: c for eid, c in coverage.items() if c != 2}
+    if bad:
+        raise EdgeCoverageViolation(f"edges not on exactly two walks: {bad}")
+
     rotations = []
     for v in range(g.n):
         first, stop = start[v], start[v + 1]
@@ -149,19 +157,14 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
             ps = partners[p]
             if len(ps) != 2 or ps[0] == ps[1] or p in ps:
                 raise NotDihedral(f"arc {arcs[p]} has partners {[arcs[q] for q in ps]}")
-        # walk the 2-regular partner relation from the first arc of v around
-        # its cycle; from_rotations rejects a cycle that misses out(v)
+        # walk the 2-regular partner relation from the first arc of v around its cycle: it stays
+        # in out(v), as every face chains, and from_rotations rejects a cycle missing part of it
         cyc = [first]
-        prev = -1
-        while True:
-            cur = cyc[-1]
-            nxt = partners[cur][0] if partners[cur][0] != prev else partners[cur][1]
-            if nxt == first:
-                break
-            if not first <= nxt < stop:
-                raise NotDihedral(f"relation at vertex {v} leaves out({v})")
-            cyc.append(nxt)
-            prev = cur
+        cur = partners[first][0]
+        while cur != first:
+            cyc.append(cur)
+            a, b = partners[cur]
+            cur = b if a == cyc[-2] else a
         rotations.append(tuple(arcs[p] for p in cyc))
     try:
         scheme = DihedralScheme.from_rotations(g, rotations)
@@ -169,8 +172,8 @@ def build_map(g: MultiGraph, walks: Iterable[ClosedWalk | Sequence[Arc]]) -> Map
         raise NotDihedral(str(exc)) from exc
 
     # a connected closed surface: chi <= 2
-    chi = g.n - g.edge_count + len(normalized)
-    return MapComplex(g, tuple(sorted(normalized)), scheme, chi)
+    chi = g.n - g.edge_count + len(walks)
+    return MapComplex(g, tuple(sorted(walks)), scheme, chi)
 
 
 def truncate_map(m: MapComplex) -> TruncationResult:
@@ -178,7 +181,7 @@ def truncate_map(m: MapComplex) -> TruncationResult:
     return truncate(m.scheme_induced)
 
 
-def _regular_girth_cycles(g: MultiGraph, want: tuple[int, ...]) -> tuple[GirthReport, list[list[Arc]]]:
+def _regular_girth_cycles(g: MultiGraph, want: tuple[int, ...]) -> tuple[GirthReport, list[list[int]]]:
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):
         raise WrongSignature("decomposition needs a simple cubic graph")
     if not g.is_connected():
@@ -195,7 +198,9 @@ def map_from_222(g: MultiGraph) -> MapComplex:
     faces are its girth cycles; the Euler characteristic satisfies
     chi = n(3/g - 1/2) as an exact integer identity, since the 3n/g faces
     of length g cover each of the 3n/2 edges twice."""
-    return build_map(g, [ClosedWalk.from_arcs(g, arcs) for arcs in _regular_girth_cycles(g, (2, 2, 2))[1]])
+    cycles = _regular_girth_cycles(g, (2, 2, 2))[1]
+    position = g._arc_table().position
+    return _assemble(g, ([position[key] for key in keys] for keys in cycles))
 
 
 def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
@@ -218,16 +223,17 @@ def decompose_112(g: MultiGraph) -> tuple[MapComplex, dict[str, list[int]]]:
     # each girth cycle alternates X and Y; its g/2 Y-arc tails, in one flat list, walk a face
     y_set = set(y_edges)
     tails: list[int] = []
-    for arcs in cycles:
-        on_y = [a.edge in y_set for a in arcs]
-        if any(on_y[i] == on_y[i - 1] for i in range(len(arcs))):
-            cyc = sorted(a.edge for a in arcs)
+    for keys in cycles:
+        on_y = [key >> 1 in y_set for key in keys]
+        if any(on_y[i] == on_y[i - 1] for i in range(len(keys))):
+            cyc = sorted(key >> 1 for key in keys)
             raise GirthInvariantViolation(f"girth cycle {cyc} does not alternate between X and Y")
-        tails += [a.tail for a, y in zip(arcs, on_y) if y]
-    del cycles  # no arc is read again
+        tails += [g._by_id[key >> 1].ends[key & 1] for key, y in zip(keys, on_y) if y]
+    del cycles  # no key is read again
 
-    # the X-cycles, numbered by least vertex, become the map's vertices
-    lam, arc_of = contract_cycles(g, y_set)
+    # the X-cycles, numbered by least vertex, become the map's vertices; Λ
+    # is connected as g is, and at[v] is the position of v's arc in Λ
+    lam, _, at = _contraction(g, y_set)
     half = report.girth // 2
-    faces = [ClosedWalk.from_arcs(lam, [arc_of[v] for v in tails[i:i + half]]) for i in range(0, len(tails), half)]
-    return build_map(lam, faces), {"X": x_edges, "Y": y_edges}
+    faces = ([at[v] for v in tails[i:i + half]] for i in range(0, len(tails), half))
+    return _assemble(lam, faces), {"X": x_edges, "Y": y_edges}

@@ -51,13 +51,13 @@ class ArcTable(NamedTuple):
 
 class MultiGraph:
     """Immutable multigraph; construct once, read from anywhere. The arc
-    table, whether any edges are parallel, the girth (`girth.girth`) and
-    the girth report (`girth.girth_report`) are found on the first query
-    and only read after that."""
+    table, whether any edges are parallel, whether it is connected, the
+    girth (`girth.girth`) and the girth report (`girth.girth_report`) are
+    found on the first query and only read after that."""
 
     __slots__ = (
         "_n", "_edges", "_by_id", "_adj", "_degrees", "_arc_cache", "_has_loops", "_parallel",
-        "_girth", "_report", "__weakref__",
+        "_connected", "_girth", "_report", "__weakref__",
     )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, Sequence[int]]]):
@@ -126,6 +126,7 @@ class MultiGraph:
         self._arc_cache = None
         self._has_loops = bool(loops)
         self._parallel: bool | None = None
+        self._connected: bool | None = None
         self._girth: int | None = 0  # 0 until girth() runs; None for a forest
         self._report = None  # the GirthReport, once girth_report() runs
 
@@ -194,7 +195,9 @@ class MultiGraph:
         return k if all(d == k for d in self._degrees) else None
 
     def is_connected(self) -> bool:
-        return len(self._components()) <= 1
+        if self._connected is None:
+            self._connected = len(self._components()) <= 1
+        return self._connected
 
     def _components(self, skip: Collection[int] = ()) -> list[list[int]]:
         """The components without the edges in `skip`, numbered by least

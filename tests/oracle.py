@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from girthlab.multigraph import MultiGraph
+from girthlab.multigraph import Arc, MultiGraph
 
 
 def _adj(g: MultiGraph) -> list[list[tuple[int, int]]]:
@@ -23,6 +23,13 @@ def _adj(g: MultiGraph) -> list[list[tuple[int, int]]]:
         adj[u].append((v, e.id))
         adj[v].append((u, e.id))
     return adj
+
+
+def listed_arcs(g: MultiGraph, walks: list[list[int]]) -> list[list[Arc]]:
+    """The girth listing's walks as arcs: each key 2·edge + end is read as
+    the arc at that key in g's arc table."""
+    arcs, _, _, position = g._arc_table()
+    return [[arcs[position[key]] for key in keys] for keys in walks]
 
 
 def _maps_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:

@@ -220,6 +220,26 @@ def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
             assert result.case == PRISM_OR_MOBIUS
 
 
+def test_check_all_laws_walks_the_graph_for_connectivity_once(monkeypatch):
+    # the graph keeps its connectivity, as it keeps its girth: check_all_laws,
+    # classify_g5 and the decomposition ask for it, and one walk answers all
+    # three; the (1,1,2) decomposition does not ask again for its Λ
+    walks = []
+    walk = MultiGraph._components
+
+    def spy(self, skip=()):
+        walks.append((self, sys._getframe(1).f_code.co_name))
+        return walk(self, skip)
+
+    rng = random.Random(23)
+    graphs = [families.prism(7).relabeled(rng.sample(range(14), 14)), families.dodecahedron()]
+    monkeypatch.setattr(MultiGraph, "_components", spy)
+    for g in graphs:
+        walks.clear()
+        assert law(check_all_laws(g), "thm-main").holds is True
+        assert [h is g for h, caller in walks if caller == "is_connected"] == [True], walks
+
+
 def test_the_decomposition_laws_build_no_second_graph(monkeypatch):
     # thm3.6, thm3.11 and the ladder check read the one Λ that the
     # decomposition built: no model graph, no second Λ, no arc lookups

@@ -10,17 +10,17 @@ import pytest
 
 import girthlab
 from girthlab import families
-from girthlab.errors import Disconnected, EdgeCoverageViolation, NotDihedral, WrongSignature
+from girthlab.errors import Disconnected, EdgeCoverageViolation, InvalidScheme, NotDihedral, WrongSignature
 from girthlab.girth import _rooted_pass, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
-from girthlab.schemes import contract_cycles
-from oracle import _maps_onto
+from girthlab.schemes import DihedralScheme, contract_cycles
+from oracle import _maps_onto, listed_arcs
 
 
 def walks_of_girth_cycles(g):
-    return [ClosedWalk.from_arcs(g, arcs) for arcs in _rooted_pass(g, True)]
+    return [ClosedWalk.from_arcs(g, arcs) for arcs in listed_arcs(g, _rooted_pass(g, True))]
 
 
 def test_build_map_tetrahedron():
@@ -237,7 +237,7 @@ def test_decompose_112_alternation_along_girth_cycles():
     g = families.prism(6)
     _, witness = decompose_112(g)
     y = set(witness["Y"])
-    walks = _rooted_pass(g, True)
+    walks = listed_arcs(g, _rooted_pass(g, True))
     assert len(walks) == girth_report(g).cycle_count
     for arcs in walks:
         assert len({a.edge for a in arcs}) == len(arcs) == 4
@@ -273,6 +273,127 @@ def test_112_truncations_give_back_their_map(whole_corpus):
         assert [(a.tail, a.end) for a in arc_of] == [(a.tail, a.end) for a in m.skeleton.arcs()]
         moved = [ClosedWalk.from_arcs(back.skeleton, [arc_of[p] for p in m.skeleton._arc_indices(w.arcs)]) for w in m.faces]
         assert sorted(moved) == list(back.faces)
+
+
+def test_face_walks_are_looked_up_once(monkeypatch):
+    # map_from_222 and decompose_112 hand the map their faces as arc-table
+    # positions, so the only lookups left are from_rotations', one per
+    # vertex; build_map looks up each walk given as arcs once
+    callers = []
+    indices = MultiGraph._arc_indices
+
+    def spy(self, arcs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return indices(self, arcs)
+
+    k4, dod = families.complete(4), families.dodecahedron()
+    prism = families.prism(7).relabeled(random.Random(7).sample(range(14), 14))
+    raw = listed_arcs(k4, _rooted_pass(k4, True))
+    monkeypatch.setattr(MultiGraph, "_arc_indices", spy)
+    for run, want in (
+        (lambda: map_from_222(dod), ["from_rotations"] * 20),
+        (lambda: decompose_112(prism), ["from_rotations"] * 2),
+        (lambda: build_map(k4, raw), ["_positions"] * 4 + ["from_rotations"] * 4),
+    ):
+        callers.clear()
+        run()
+        assert callers == want
+
+
+def _signed_rotation_system(rng: random.Random) -> tuple[MultiGraph, dict[int, list[Arc]], dict[int, int]]:
+    """A random connected multigraph on at most 10 vertices, loops and
+    parallel edges allowed, of minimum valence 3 and with sparse edge ids,
+    a random rotation at each vertex and a random sign on each edge."""
+    n = rng.choice((1, 2, rng.randint(1, 10)))
+    ends = [(rng.randrange(v), v) for v in range(1, n)]  # a random spanning tree
+    degree = [0] * n
+    extra = rng.randint(0, 8)
+    for u, v in ends:
+        degree[u] += 1
+        degree[v] += 1
+    while extra > 0 or min(degree) < 3:
+        u, v = rng.randrange(n), rng.randrange(n)
+        ends.append((u, v))
+        degree[u] += 1
+        degree[v] += 1
+        extra -= 1
+    g = MultiGraph(n, list(zip(rng.sample(range(-3 * len(ends), 3 * len(ends)), len(ends)), ends)))
+    rotation = {v: rng.sample(g.out_arcs(v), g.degree(v)) for v in range(n)}
+    return g, rotation, {e.id: rng.choice((1, -1)) for e in g.edges}
+
+
+def _trace_faces(g: MultiGraph, rotation: dict[int, list[Arc]], sign: dict[int, int]) -> list[list[Arc]]:
+    """The faces of a signed rotation system, each once, as the arcs it
+    passes in one direction. A state is an arc out of a vertex and the
+    local sense there; leaving along arc b in sense d, the face arrives by
+    the other arc of b's edge, in sense d·sign, and leaves by the next arc
+    of that vertex's rotation in that sense. The reverse of the face that
+    leaves by b_i in sense d_i leaves by the inverse of b_(i-1) in -d_i."""
+    at = {a: (v, i) for v, rot in rotation.items() for i, a in enumerate(rot)}
+    seen: set[tuple[Arc, int]] = set()
+    faces = []
+    for rot in rotation.values():
+        for start in [(a, d) for a in rot for d in (1, -1)]:
+            if start in seen:
+                continue
+            states = [start]
+            while True:
+                b, d = states[-1]
+                d *= sign[b.edge]
+                w, i = at[g.inverse(b)]
+                state = (rotation[w][(i + d) % len(rotation[w])], d)
+                if state == start:
+                    break
+                states.append(state)
+            for (b, d), (prev, _) in zip(states, states[-1:] + states[:-1]):
+                seen |= {(b, d), (g.inverse(prev), -d)}
+            faces.append([b for b, _ in states])
+    return faces
+
+
+def test_signed_rotation_systems_give_back_their_maps():
+    # the faces of a random signed rotation system, traced here, make a
+    # map exactly when no face passes an edge twice: build_map gives back
+    # the unsigned rotations as its scheme and chi = n - m + f. Where the
+    # truncation is (1,1,2), decompose_112 gives back a map whose truncation
+    # it is under contract_cycles' arc map, and that map's faces come back
+    # from its own truncation. It need not be the traced map: the rotations
+    # may be girth cycles of the truncation too, as for the dipole with two
+    # square faces, whose truncation mobius(4) decomposes to four loops at
+    # one vertex; the two (1,1,2) truncations of this sample are of that kind.
+    rng = random.Random(25)
+    seen = {"maps": 0, "odd chi": 0, "(1,1,2)": 0}
+    for _ in range(4000):
+        g, rotation, sign = _signed_rotation_system(rng)
+        faces = _trace_faces(g, rotation, sign)
+        if any(len({a.edge for a in f}) < len(f) for f in faces):
+            with pytest.raises(EdgeCoverageViolation, match="walk traverses an edge twice"):
+                build_map(g, faces)
+            continue
+        m = build_map(g, faces)
+        assert m.scheme_induced == DihedralScheme.from_rotations(g, rotation.values())
+        assert m.euler_characteristic == g.n - g.edge_count + len(faces) == g.n - g.edge_count + len(m.faces)
+        assert list(m.faces) == sorted(ClosedWalk.from_arcs(g, f) for f in faces)
+        seen["maps"] += 1
+        seen["odd chi"] += m.non_orientable_forced
+        loop_pairs = {(a, b) for rot in rotation.values() for a, b in zip(rot, rot[1:] + rot[:1]) if a.edge == b.edge}
+        if loop_pairs:  # a loop whose arcs are rotation neighbours: no cubic truncation
+            with pytest.raises(InvalidScheme, match="rotation-consecutive"):
+                truncate_map(m)
+            continue
+        t = truncate_map(m).graph
+        if girth_report(t).regular != (1, 1, 2):
+            continue
+        seen["(1,1,2)"] += 1
+        back, split = decompose_112(t)
+        _, arc_of = contract_cycles(t, set(split["Y"]))
+        assert _maps_onto(t, truncate_map(back).graph, back.skeleton._arc_indices(arc_of))
+        t2 = truncate_map(back).graph
+        again, split2 = decompose_112(t2)
+        _, arc_of = contract_cycles(t2, set(split2["Y"]))
+        moved = [[arc_of[p] for p in back.skeleton._arc_indices(w.arcs)] for w in back.faces]
+        assert sorted(ClosedWalk.from_arcs(again.skeleton, w) for w in moved) == list(again.faces)
+    assert min(seen.values()) > 0, seen
 
 
 def test_decompose_112_rejects_wrong_signature():
