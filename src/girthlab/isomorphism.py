@@ -166,10 +166,6 @@ def are_isomorphic(
     return (mapping is not None), mapping
 
 
-def has_automorphism_mapping(g: MultiGraph, u: int, v: int, cap: int = DEFAULT_ISO_CAP) -> bool:
-    return find_isomorphism(g, g, cap=cap, anchor=(u, v)) is not None
-
-
 def is_vertex_transitive(g: MultiGraph, cap: int = DEFAULT_ISO_CAP) -> bool:
     """Brute-force orbit check: some automorphism maps 0 to every vertex."""
-    return all(has_automorphism_mapping(g, 0, v, cap=cap) for v in range(1, g.n))
+    return all(find_isomorphism(g, g, cap=cap, anchor=(0, v)) is not None for v in range(1, g.n))

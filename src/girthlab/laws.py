@@ -325,36 +325,19 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
 class CensusBucket(SimpleNamespace):
     """The graphs of one (girth, signature): how many, and the first ids."""
 
-    def __init__(
-        self, girth: int | None, signature: tuple[int, ...] | None, count: int = 0,
-        examples: list[str] | None = None,
-    ):
-        examples = [] if examples is None else examples
-        super().__init__(girth=girth, signature=signature, count=count, examples=examples)
+    def __init__(self, girth: int | None, signature: tuple[int, ...] | None):
+        super().__init__(girth=girth, signature=signature, count=0, examples=[])
 
     def __reduce__(self) -> tuple:
         # SimpleNamespace's own would call the class without its two required arguments
-        return type(self), (self.girth, self.signature, self.count, self.examples)
+        return type(self), (self.girth, self.signature), self.__dict__
 
 
 class CensusResult(SimpleNamespace):
     """What census gathered; each result starts with its own containers."""
 
-    def __init__(
-        self,
-        total: int = 0,
-        buckets: dict[tuple, CensusBucket] | None = None,
-        violations: list[tuple[str, str, Any]] | None = None,
-        unverified: list[tuple[str, str]] | None = None,
-        errors: list[tuple[str, str]] | None = None,
-    ):
-        super().__init__(
-            total=total,
-            buckets={} if buckets is None else buckets,
-            violations=[] if violations is None else violations,
-            unverified=[] if unverified is None else unverified,
-            errors=[] if errors is None else errors,
-        )
+    def __init__(self):
+        super().__init__(total=0, buckets={}, violations=[], unverified=[], errors=[])
 
     def sorted_buckets(self) -> list[CensusBucket]:
         """By girth, forests last; within a girth by signature, non-regular last."""

@@ -48,10 +48,6 @@ class ClosedWalk:
     def __len__(self) -> int:
         return len(self._arcs)
 
-    @property
-    def edge_ids(self) -> frozenset[int]:
-        return frozenset(a.edge for a in self._arcs)
-
     def __lt__(self, other: "ClosedWalk") -> bool:
         return self._arcs < other._arcs
 

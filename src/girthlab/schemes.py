@@ -5,7 +5,7 @@ vertex; the symmetric 2-regular relation on arcs is derived from
 consecutiveness. Rotations are normalized (least arc first, lesser
 direction) so equal schemes compare and serialize identically.
 
-`contract_cycles`, `decompose_011` and the laws' truncation check each read
+`decompose_011`, `decompose_112` and the laws' truncation check each read
 one walk of a graph without a perfect matching, `_contraction`, in O(n).
 """
 
@@ -167,24 +167,13 @@ def _contraction(g: MultiGraph, matching: set[int],
     return base, cycles, at
 
 
-def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list[Arc]]:
-    """Contract each cycle that g leaves without the perfect matching M.
-
-    Λ has one vertex per component of g - M, numbered by least vertex, and
-    the edges of M under their ids in g. Vertex v of g becomes the end of
-    its M-edge at its own component, read from Λ's arc table: arc_of[v]."""
-    lam, _, at = _contraction(g, matching)
-    arcs = lam._arc_table().arcs
-    return lam, [arcs[p] for p in at]
-
-
 def decompose_011(g: MultiGraph) -> tuple[MultiGraph, DihedralScheme]:
     """Invert the truncation of a girth-regular (0,1,1) graph.
 
     The edges on no girth cycle form a perfect matching M, and the girth
     cycles are the cycles of g - M, walked in order; none is listed by a
     BFS. The base has one vertex per girth cycle and one edge per edge of
-    M, as `contract_cycles` numbers them, keeping the ids of g; each
+    M, as `_contraction` numbers them, keeping the ids of g; each
     rotation follows the attachment points along its cycle.
     """
     if not g.is_simple or any(g.degree(v) != 3 for v in range(g.n)):

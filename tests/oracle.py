@@ -4,7 +4,8 @@ Everything here is deliberately written against different algorithms
 than the production code: girth by edge-deletion distances, cycle counts
 by exhaustive DFS enumeration, isomorphism by comparing edge multisets,
 and a second graph6 reader and graph6 and sparse6 writers working on a
-whole bit string.
+whole bit string. `contract_cycles` is not independent: it reads the
+package's own contraction as arcs, which the truncation round trips need.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 
 from girthlab.multigraph import Arc, MultiGraph
+from girthlab.schemes import _contraction
 
 
 def _adj(g: MultiGraph) -> list[list[tuple[int, int]]]:
@@ -30,6 +32,17 @@ def listed_arcs(g: MultiGraph, walks: list[list[int]]) -> list[list[Arc]]:
     the arc at that key in g's arc table."""
     arcs, _, _, position = g._arc_table()
     return [[arcs[position[key]] for key in keys] for keys in walks]
+
+
+def contract_cycles(g: MultiGraph, matching: set[int]) -> tuple[MultiGraph, list[Arc]]:
+    """Contract each cycle that g leaves without the perfect matching M.
+
+    Λ has one vertex per component of g - M, numbered by least vertex, and
+    the edges of M under their ids in g. Vertex v of g becomes the end of
+    its M-edge at its own component, read from Λ's arc table: arc_of[v]."""
+    lam, _, at = _contraction(g, matching)
+    arcs = lam._arc_table().arcs
+    return lam, [arcs[p] for p in at]
 
 
 def _maps_onto(g: MultiGraph, h: MultiGraph, mapping: list[int]) -> bool:

@@ -170,6 +170,22 @@ def test_analyze_pretty_printed_json_document(tmp_path, capsys):
     assert json.loads(out)["girth"] == 3
 
 
+def test_record_ids_of_json_files(tmp_path, capsys):
+    # a file that parses as one JSON document is read whole, so its records
+    # are numbered #k, even a .jsonl file of one line; otherwise each line
+    # is one record, numbered by its line
+    theta = json.dumps(write_multigraph_json(MultiGraph(2, list(enumerate([(0, 1)] * 3)))))
+    loop = json.dumps(write_multigraph_json(MultiGraph(1, [(0, (0,))])))
+    one, two, array = tmp_path / "one.jsonl", tmp_path / "two.jsonl", tmp_path / "array.json"
+    one.write_text(theta + "\n")
+    two.write_text(theta + "\n" + loop + "\n")
+    array.write_text(f"[{theta},{loop}]\n")
+    code, out = run(capsys, "analyze", "--format", "json", one, two, array)
+    assert code == 0
+    ids = [json.loads(line)["id"] for line in out.splitlines()]
+    assert ids == [f"{one}:#1", f"{two}:1", f"{two}:2", f"{array}:#1", f"{array}:#2"]
+
+
 def test_decompose_112_prism(tmp_path, capsys):
     p = tmp_path / "y5.g6"
     p.write_text(write_graph6(families.prism(5)) + "\n")

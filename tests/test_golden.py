@@ -63,3 +63,35 @@ def test_output_bytes(monkeypatch, capsys, argv, name, status, digest):
     out = capsys.readouterr().out
     assert code == status
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the formats and commands the list above leaves out: the text records of
+# analyze and of the 011 and 222 decompositions, the faces of every (1,1,2)
+# map as JSON, and the graph6 truncation of each corpus graph
+READING = [
+    ("analyze", corpus.CUBIC_LE14, 0,
+     "30dee605d2b037f8e52c9b0469cd432c9ec9b0b9bdf56cfdecf1b7698c5805e3"),
+    ("analyze", corpus.GIRTHREG_EXT, 0,
+     "ba9b9a51951a8278f64adec37d1178d93c880370f701c11eda9679ed51c00b5d"),
+    ("decompose --mode 011", corpus.CUBIC_LE14, 1,
+     "0a84db3f6b61e1f4cd8274672d19405922c3a6daa4edac2c1f694738d6b77858"),
+    ("decompose --mode 011", corpus.GIRTHREG_EXT, 1,
+     "35b8457ddb5b9b8c5b32744b34962922a1f25d4c412ce9b95a4ffe1796595506"),
+    ("decompose --mode 112 --format json", corpus.CUBIC_LE14, 1,
+     "535ebb1bf97ec18e9eefa9401ef4b1e47e14eb06dcdc5f5aa43dabdbcc6281af"),
+    ("decompose --mode 112 --format json", corpus.GIRTHREG_EXT, 1,
+     "04032dcb8c05fccc27803a1ae68943004436a94f34cbecfd929f7ce3d5dbe38a"),
+    ("decompose --mode 222", corpus.CUBIC_LE14, 1,
+     "3307c1b4afbb7c1df35d40c9d29985cf83276376583fd2ce023256bb90209561"),
+    ("decompose --mode 222", corpus.GIRTHREG_EXT, 1,
+     "5cf9e683741454a7fc04fab7fea2307c9f6e5c322075a1bccf01c63c2a9065b0"),
+    ("truncate", corpus.CUBIC_LE14, 0,
+     "86e375c41756b748d8c98494f5608363b0454ab7cc5ecda3539bb98307367d63"),
+    ("truncate", corpus.GIRTHREG_EXT, 0,
+     "2ccf33eaf0a2d2ebb0c35abeab75cd8e9c102957270543c7f630c10c030fb684"),
+]
+
+
+@pytest.mark.parametrize("argv, name, status, digest", READING)
+def test_reading_command_bytes(monkeypatch, capsys, argv, name, status, digest):
+    test_output_bytes(monkeypatch, capsys, argv, name, status, digest)

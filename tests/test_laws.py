@@ -39,14 +39,8 @@ from girthlab.laws import (
 )
 from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import MultiGraph, from_edge_list
-from girthlab.schemes import (
-    DihedralScheme,
-    contract_cycles,
-    decompose_011,
-    truncate,
-    unique_cubic_scheme,
-)
-from oracle import _maps_onto, naive_epsilon, naive_girth, naive_girth_cycles, naive_signatures
+from girthlab.schemes import DihedralScheme, decompose_011, truncate, unique_cubic_scheme
+from oracle import _maps_onto, contract_cycles, naive_epsilon, naive_girth, naive_girth_cycles, naive_signatures
 
 
 def law(results, law_id):

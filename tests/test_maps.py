@@ -15,8 +15,8 @@ from girthlab.girth import _rooted_pass, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.maps import ClosedWalk, build_map, decompose_112, map_from_222, truncate_map
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
-from girthlab.schemes import DihedralScheme, contract_cycles
-from oracle import _maps_onto, listed_arcs
+from girthlab.schemes import DihedralScheme
+from oracle import _maps_onto, contract_cycles, listed_arcs
 
 
 def walks_of_girth_cycles(g):
