@@ -6,7 +6,7 @@ from importlib import import_module
 
 # Every command needs codec, girth and multigraph; an eager `girth` also stays
 # the function, where a submodule's first import would bind the module here.
-# The other names load with their module on first access (PEP 562).
+# The other names load with their module on first use (PEP 562); no command loads `partitions`.
 from .codec import (
     parse_graph6,
     read_multigraph_json,
@@ -15,18 +15,7 @@ from .codec import (
     write_multigraph_json,
     write_sparse6,
 )
-from .girth import (
-    DistancePartition,
-    GirthReport,
-    TwoPathCounts,
-    check_partition_facts,
-    distance_partition,
-    epsilon,
-    girth,
-    girth_cycles,
-    girth_report,
-    two_path_counts,
-)
+from .girth import GirthReport, epsilon, girth, girth_cycles, girth_report
 from .multigraph import Arc, MultiGraph, from_edge_list
 
 __version__ = "0.1.0"
@@ -37,6 +26,7 @@ _LAZY = {
         ("isomorphism", "are_isomorphic find_isomorphism is_vertex_transitive"),
         ("laws", "Classification LawResult census check_all_laws classify_g5"),
         ("maps", "ClosedWalk MapComplex build_map decompose_112 map_from_222 truncate_map"),
+        ("partitions", "DistancePartition TwoPathCounts check_partition_facts distance_partition two_path_counts"),
         ("schemes", "DihedralScheme TruncationResult decompose_011 truncate unique_cubic_scheme"),
     )
     for name in names.split()

@@ -1,14 +1,16 @@
-"""Girth, per-edge girth-cycle counts, signatures, girth cycles and
-distance partitions, all from one layered BFS, `_bfs`. From a root, to a
-radius, optionally over the vertices above the root only, it labels each
-vertex with its depth, parent, tree edge and branch (the edge at the root
-its tree path leaves by) and lists the non-tree edges it meets: a closed
-walk through the root closes at each. A pass stamps each root's depths
-above a base of its own, so no root resets the marks. Three consumers:
+"""Girth, per-edge girth-cycle counts, signatures and girth cycles, all
+from one layered BFS, `_bfs`. From a root, to a radius, optionally over
+the vertices above the root only, it labels each vertex with its depth,
+parent, tree edge and branch (the edge at the root its tree path leaves
+by) and lists the non-tree edges it meets: a closed walk through the root
+closes at each. A pass stamps each root's depths above a base of its own,
+so no root resets the marks. Two consumers here, and `partitions` shares
+it for the distance partitions:
 
 - `_shortest_cycle`, the girth search, from the core vertices of degree
-  >= 3 and once over each core component. It stays a pass of its own:
-  `girth()` stays linear on forests and long cycles, and the count's
+  >= 3; a core component whose vertices all have core degree 2, found by
+  the graph's one component walk, is a bare cycle. It stays a pass of its
+  own: `girth()` stays linear on forests and long cycles, and the count's
   checks for shorter cycles could not test a girth that they had found.
 - `_rooted_pass`, one BFS of radius d = ⌊g/2⌋ per root r. A girth cycle
   through r is an edge joining two depth-d vertices of different branches
@@ -18,22 +20,18 @@ above a base of its own, so no root resets the marks. Three consumers:
   girth cycle once, as arc keys, from its least vertex r, where both tree
   paths stay above r; they must add up to ε. A graph keeps its report, and
   on one that does, the pass lists over the vertices above r and counts none.
-- `_partition` intersects the balls of radius d + 1 around two vertices.
-
-The two-path counts at a cubic vertex solve a linear system over the
-report's ε, and the partition facts read ε from it too.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import combinations
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .codec import Lazy, json_tree
-from .errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
-from .multigraph import MultiGraph, _is_int
+from .errors import GirthInvariantViolation, InfiniteGirth
+from .multigraph import MultiGraph
 
 # each vertex's depth stamp, parent, tree edge and branch, indexed by vertex
 Marks = tuple[Any, Any, Any, Any]
@@ -47,12 +45,12 @@ def _marks(n: int) -> Marks:
 def _bfs(
     adj: Sequence[Sequence[tuple[int, int]]], root: int, length: int, marks: Marks, base: int, low: int = 0
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The one layered BFS of this module, from root over the vertices
-    >= low. It reaches depth ⌊length/2⌋ and scans the edges of each vertex
-    reached below depth length/2, so every cycle through root of at most
-    `length` edges closes at a non-tree edge that it meets. Each vertex
-    reached gets, in `marks`, its depth stamp base + depth and, below the
-    root, its parent, its tree edge and its branch, the edge at root that
+    """The one layered BFS, here and in `partitions`, from root over the
+    vertices >= low. It reaches depth ⌊length/2⌋ and scans the edges of
+    each vertex reached below depth length/2, so every cycle through root
+    of at most `length` edges closes at a non-tree edge that it meets. Each
+    vertex reached gets, in `marks`, its depth stamp base + depth and, below
+    the root, its parent, its tree edge and its branch, the edge at root that
     its tree path leaves by. Stamps below base read as unreached. Returns
     the vertices reached, in BFS order, and the non-tree edges (v, w, edge
     id) in the order met, once from each scanned end v."""
@@ -118,15 +116,15 @@ def _shortest_cycle(g: MultiGraph) -> int | None:
                     if deg[w] <= 1:
                         gone[w] = True
                         stack.append(w)
+        # the core's components; a peeled vertex is one of its own, of degree <= 1
+        skip = {eid for v, out in enumerate(gone) if out for _, eid in adj[v]}
+        for comp in g._components(skip):
+            if all(deg[v] == 2 for v in comp) and (best is None or len(comp) < best):
+                best = len(comp)
         adj = [tuple(p for p in nbrs if not gone[p[0]]) for nbrs in adj]
         roots = [v for v in range(n) if not gone[v] and deg[v] >= 3]
         above = False
-        for s in range(n):
-            if not gone[s] and depth[s] < 0:  # a core component not scanned yet
-                comp, _ = _bfs(adj, s, 2 * n, marks, 0)
-                if all(deg[v] == 2 for v in comp) and (best is None or len(comp) < best):
-                    best = len(comp)
-    base = n  # above the component scans' stamps
+    base = 0
     for root in roots:
         length = 3 if best is None else best - 1
         while True:
@@ -306,166 +304,3 @@ def _rooted_pass(g: MultiGraph, cycles: bool) -> list[list[int]]:
 def girth_cycles(g: MultiGraph) -> list[frozenset[int]]:
     """All girth cycles, each as its set of edge ids, listed against ε."""
     return sorted((frozenset(key >> 1 for key in walk) for walk in _rooted_pass(g, True)), key=sorted)
-
-
-# --- distance partitions ---
-
-class DistancePartition(NamedTuple):
-    """Cells D^i_j = S_i(u) ∩ S_j(anchor); anchor is v for an edge pair
-    (u, v) and w for a 2-path (u, v, w). The repr leaves the cells out."""
-
-    sources: tuple[int, ...]
-    radius: int
-    cells: dict[tuple[int, int], frozenset[int]]
-
-    def cell(self, i: int, j: int) -> frozenset[int]:
-        return self.cells.get((i, j), frozenset())
-
-    def __repr__(self) -> str:
-        return f"DistancePartition(sources={self.sources!r}, radius={self.radius!r})"
-
-
-def _partition(g: MultiGraph, u: int, anchor: int, gir: int) -> DistancePartition:
-    d = gir // 2
-    # the balls of radius d + 1 around anchor and u; no list of n to fill:
-    # a vertex never stamped reads 0, below both bases
-    depth, _, _, _ = marks = (defaultdict(int), {}, {}, {})
-    near = {x: depth[x] - 1 for x in _bfs(g._adj, anchor, 2 * d + 2, marks, 1)[0]}
-    cells: dict[tuple[int, int], set[int]] = {}
-    for x in _bfs(g._adj, u, 2 * d + 2, marks, d + 3)[0]:
-        if x in near:
-            cells.setdefault((depth[x] - d - 3, near[x]), set()).add(x)
-    frozen = {ij: frozenset(s) for ij, s in cells.items()}
-    return DistancePartition((u, anchor), d, frozen)
-
-
-def _edge_between(g: MultiGraph, u: int, v: int) -> int:
-    """The least id of an edge joining the distinct vertices u and v;
-    NotAnEdge if there is none or either is not a vertex id."""
-    if u != v and _is_int(u) and _is_int(v) and 0 <= u < g.n:
-        for w, eid in g.neighbors(u):  # in edge-id order
-            if w == v:
-                return eid
-    raise NotAnEdge(f"({u!r}, {v!r}) is not an edge")
-
-
-def distance_partition(g: MultiGraph, u: int, v: int) -> DistancePartition:
-    _edge_between(g, u, v)
-    return _partition(g, u, v, _require_finite(g))
-
-
-def distance_partition_2path(g: MultiGraph, u: int, v: int, w: int) -> DistancePartition:
-    _edge_between(g, u, v)
-    _edge_between(g, v, w)
-    part = _partition(g, u, w, _require_finite(g))
-    return DistancePartition((u, v, w), part.radius, part.cells)
-
-
-class FactResult(NamedTuple):
-    fact: int
-    applicable: bool
-    holds: bool | None
-    witness: Any = None
-
-
-def check_partition_facts(g: MultiGraph, u: int, v: int) -> list[FactResult]:
-    """Evaluate the six distance-partition facts literally for the edge uv,
-    against the report's ε, and report one result per fact 1-6, in order.
-
-    Facts quantified with (k-1)-counts apply to regular graphs only. Fact
-    five applies at even girth >= 4 and fact six at odd girth. At girth 2
-    neither does: the cells D^0_1 = {u} and D^1_0 = {v} are joined by every
-    parallel u-v edge, uv included, while ε(uv) leaves uv out.
-    """
-    eid = _edge_between(g, u, v)
-    report = girth_report(g)
-    gir, eps = report.girth, report.epsilon[eid]
-    part = _partition(g, u, v, gir)
-    d = part.radius
-    k = g.is_regular()
-    found: dict[int, tuple[bool, Any]] = {}  # (holds, witness) of each fact that applies
-
-    def adj(x: int) -> set[int]:
-        return {w for w, _ in g.neighbors(x) if w != x}
-
-    # (1) D^i_i empty below the radius
-    bad = [(i, sorted(part.cell(i, i))) for i in range(1, d) if part.cell(i, i)]
-    found[1] = (not bad, bad or None)
-
-    # (2) the two off-diagonal shells are independent sets
-    bad2 = []
-    for i in range(2, d + 1):
-        for cell in (part.cell(i - 1, i), part.cell(i, i - 1)):
-            for x in cell:
-                hits = adj(x) & cell
-                if hits:
-                    bad2.append((i, x, sorted(hits)))
-    found[2] = (not bad2, bad2 or None)
-
-    # (3) one neighbour back; k-1 neighbours forward (regular only)
-    bad3 = []
-    for i in range(2, d + 1):
-        for cell, back, fwd in (
-            (part.cell(i - 1, i), part.cell(i - 2, i - 1), part.cell(i, i + 1)),
-            (part.cell(i, i - 1), part.cell(i - 1, i - 2), part.cell(i + 1, i)),
-        ):
-            for x in cell:
-                nb = adj(x)
-                if len(nb & back) != 1:
-                    bad3.append((i, x, "back", len(nb & back)))
-                if k is not None and i <= d - 1 and len(nb & fwd) != k - 1:
-                    bad3.append((i, x, "forward", len(nb & fwd)))
-    found[3] = (not bad3, bad3 or None)
-
-    # (4) shell sizes (k-1)^(i-1), regular graphs
-    if k is not None:
-        bad4 = []
-        for i in range(1, d + 1):
-            want = (k - 1) ** (i - 1)
-            for cell_name, cell in (("upper", part.cell(i - 1, i)), ("lower", part.cell(i, i - 1))):
-                if len(cell) != want:
-                    bad4.append((i, cell_name, len(cell), want))
-        found[4] = (not bad4, bad4 or None)
-
-    if gir % 2 == 0 and gir >= 4:
-        # (5) even girth: ε(uv) counts the far cross edges
-        upper, lower = part.cell(d - 1, d), part.cell(d, d - 1)
-        far = sum(1 for x in upper for y, _ in g.neighbors(x) if y in lower)
-        found[5] = (far == eps, (far, eps))
-    elif gir % 2:
-        # (6) odd girth: matched far shell of size ε(uv)
-        dd = part.cell(d, d)
-        ok = len(dd) == eps
-        wit: Any = (len(dd), eps)
-        for x in dd:
-            if len(adj(x) & part.cell(d - 1, d)) != 1 or len(adj(x) & part.cell(d, d - 1)) != 1:
-                ok = False
-                wit = ("unmatched far vertex", x)
-                break
-        found[6] = (ok, wit)
-    return [FactResult(f, f in found, *found.get(f, (None, None))) for f in range(1, 7)]
-
-
-# --- two-path counts ---
-
-class TwoPathCounts(NamedTuple):
-    """Girth-cycle counts of the three 2-paths at a cubic vertex, in the
-    fixed order (e1e2, e2e3, e3e1) with e1 < e2 < e3 by edge id. Every
-    girth cycle through the vertex uses exactly two of its edges, so the
-    counts solve ε(e1) = x + z, ε(e2) = x + y, ε(e3) = y + z over the
-    report's ε."""
-
-    vertex: int
-    edges: tuple[int, int, int]
-    x: int
-    y: int
-    z: int
-
-
-def two_path_counts(g: MultiGraph, v: int) -> TwoPathCounts:
-    if not (_is_int(v) and 0 <= v < g.n) or g.degree(v) != 3 or any(w == v for w, _ in g.neighbors(v)):
-        raise NotCubicVertex(f"vertex {v!r} is not a loop-free valence-3 vertex")
-    eps = girth_report(g).epsilon
-    e1, e2, e3 = sorted(eid for _, eid in g.neighbors(v))
-    a, b, c = eps[e1], eps[e2], eps[e3]
-    return TwoPathCounts(v, (e1, e2, e3), (a + b - c) // 2, (b + c - a) // 2, (a + c - b) // 2)

@@ -248,11 +248,10 @@ def check_all_laws(g: MultiGraph, iso_cap: int = DEFAULT_ISO_CAP) -> list[LawRes
                 wit = {"model": name} if ok else wit
         found["thm2"] = (ok, wit)
 
-    # thm3: odd-girth equality case forces K4 or Petersen; K4 has girth 3
+    # thm3: odd-girth equality case forces K4 or Petersen; an isomorphism
+    # keeps the girth, and K4's is 3, Petersen's 5
     if cubic_gr and gir % 2 == 1 and sig[-1] == 2**d:
-        ok = iso(families.complete(4)) if gir == 3 else False
-        if ok is False:
-            ok = iso(families.petersen())
+        ok = iso(families.complete(4) if gir == 3 else families.petersen())
         found["thm3"] = (ok, {"signature": list(sig)})
 
     # lemma suite on the cubic signature (a, b, c)

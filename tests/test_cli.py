@@ -465,11 +465,11 @@ print(*sorted({"dataclasses", "inspect"} & set(sys.modules)))
 @pytest.mark.parametrize(
     ("command", "needs", "skips"),
     [
-        (["analyze"], {"codec", "girth", "multigraph"}, {"laws", "maps", "schemes", "isomorphism"}),
-        (["truncate"], {"schemes"}, {"laws", "maps", "isomorphism"}),
-        (["decompose", "--mode", "112"], {"maps", "schemes"}, {"laws", "isomorphism"}),
-        (["verify"], {"laws", "isomorphism", "maps", "schemes"}, set()),
-        (["census"], {"laws", "isomorphism", "maps", "schemes"}, set()),
+        (["analyze"], {"codec", "girth", "multigraph"}, {"laws", "maps", "schemes", "isomorphism", "partitions"}),
+        (["truncate"], {"schemes"}, {"laws", "maps", "isomorphism", "partitions"}),
+        (["decompose", "--mode", "112"], {"maps", "schemes"}, {"laws", "isomorphism", "partitions"}),
+        (["verify"], {"laws", "isomorphism", "maps", "schemes"}, {"partitions"}),
+        (["census"], {"laws", "isomorphism", "maps", "schemes"}, {"partitions"}),
     ],
     ids=["analyze", "truncate", "decompose", "verify", "census"],
 )

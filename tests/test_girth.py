@@ -12,20 +12,16 @@ import pytest
 
 from girthlab import families
 from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
-from girthlab.girth import (
-    _rooted_pass,
-    check_partition_facts,
-    distance_partition,
-    distance_partition_2path,
-    epsilon,
-    girth,
-    girth_cycles,
-    girth_report,
-    two_path_counts,
-)
+from girthlab.girth import _rooted_pass, epsilon, girth, girth_cycles, girth_report
 from girthlab.laws import check_all_laws
 from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import MultiGraph, from_edge_list
+from girthlab.partitions import (
+    check_partition_facts,
+    distance_partition,
+    distance_partition_2path,
+    two_path_counts,
+)
 from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
 
 from oracle import (
@@ -718,7 +714,8 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
         monkeypatch.setattr(module, "_rooted_pass", counted)
     roots: list[int] = []
     bfs = mod._bfs
-    monkeypatch.setattr(mod, "_bfs", lambda adj, root, *rest: roots.append(root) or bfs(adj, root, *rest))
+    for module in (mod, importlib.import_module("girthlab.partitions")):
+        monkeypatch.setattr(module, "_bfs", lambda adj, root, *rest: roots.append(root) or bfs(adj, root, *rest))
     for g, decompose, cycles in (
         (TRUNC_K4, decompose_011, False),
         (families.prism(8), decompose_112, True),
@@ -738,13 +735,13 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
             assert passes == want, (decompose, passes)
             assert roots == (search if fresh else []) + (list(range(g.n)) if want else []), decompose
 
-    # the search scans each core component once, from its least vertex,
-    # then runs from each core vertex of degree >= 3: the Petersen graph
-    # with a pendant vertex at 3, beside a bare 7-cycle
+    # the search takes the core components from the component walk, with
+    # no BFS, then runs from each core vertex of degree >= 3: the Petersen
+    # graph with a pendant vertex at 3, beside a bare 7-cycle
     pairs = [e.ends for e in families.petersen().edges] + [(10 + i, 10 + (i + 1) % 7) for i in range(7)]
     roots.clear()
     assert girth(from_edge_list(18, pairs + [(3, 17)])) == 5
-    assert roots == [0, 10, *range(10)]
+    assert roots == [*range(10)]
     g = _fresh(families.prism(8))
     for run, want in (
         (girth, [0, *range(16)]),  # every vertex; 0 first finds no triangle

@@ -14,13 +14,14 @@ from girthlab import corpus, families, laws
 from girthlab.codec import parse_graph6, read_multigraph_json_full, write_multigraph_json, write_sparse6
 from girthlab.errors import (
     Disconnected,
+    GirthInvariantViolation,
     GirthLabError,
     InfiniteGirth,
     InvalidScheme,
     PreconditionViolation,
     UnmatchedVertex,
 )
-from girthlab.girth import girth_report
+from girthlab.girth import girth, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.laws import (
     DODECAHEDRON,
@@ -181,9 +182,9 @@ def test_ladders_are_decomposed_once(monkeypatch):
 
 
 def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
-    # connectivity, cycle contraction, the (0,1,1) rotations and the ladder
-    # labels all read MultiGraph._components, and decompose_011 lists no
-    # girth cycle
+    # connectivity, the girth search's core components, cycle contraction,
+    # the (0,1,1) rotations and the ladder labels all read
+    # MultiGraph._components, and decompose_011 lists no girth cycle
     callers: list[str] = []
     walk = MultiGraph._components
 
@@ -196,8 +197,11 @@ def test_the_graph_layer_walks_components_through_one_routine(monkeypatch):
     prism = families.prism(6)
     trunc = truncate(unique_cubic_scheme(families.complete(4))).graph
     rng = random.Random(8)
+    # the Petersen graph with a pendant vertex at 3, beside a bare 7-cycle
+    pairs = [e.ends for e in families.petersen().edges] + [(10 + i, 10 + (i + 1) % 7) for i in range(7)]
     for run, g, want in (
         (MultiGraph.is_connected, families.petersen(), ["is_connected"]),
+        (girth, from_edge_list(18, pairs + [(3, 17)]), ["_shortest_cycle"]),
         (lambda g: contract_cycles(g, {e.id for e in g.edges if e.ends[1] - e.ends[0] == 6}), prism, ["_contraction"]),
         (decompose_011, trunc, ["_contraction"]),
         (classify_g5, prism.relabeled(rng.sample(range(12), 12)), ["_is_ladder"]),
@@ -336,6 +340,42 @@ def test_a_wrong_rotation_violates_thm36(monkeypatch):
     results = check_all_laws(tr)
     assert law(results, "thm3.6").holds is False
     assert law(results, "thm-main").holds is False
+
+
+def test_the_laws_decompose_a_truncation_above_girth_five(monkeypatch):
+    # classify_g5 stops at girth 5, so thm3.6 decomposes the graph itself, once
+    k66 = families.complete_bipartite(6, 6)
+    g = truncate(DihedralScheme.from_rotations(k66, [k66.out_arcs(v) for v in k66])).graph
+    report = girth_report(g)
+    assert (g.n, report.girth, report.regular, report.cycle_count) == (72, 6, (0, 1, 1), 12)
+    decompositions = _spy(monkeypatch, "schemes", "decompose_011")
+    results = check_all_laws(g)
+    assert len(decompositions) == 1
+    thm36 = law(results, "thm3.6")
+    assert (thm36.holds, thm36.witness) == (True, {"baseVertices": 12, "baseRegular": 6})
+    assert not law(results, "thm-main").applicable
+
+
+def test_a_failed_decomposition_violates_its_law_and_thm_main(monkeypatch):
+    # the decomposition law gets classify_g5's error again, with no second
+    # attempt, and census counts both violations
+    calls = []
+
+    def planted(g):
+        calls.append(g)
+        raise GirthInvariantViolation("planted")
+
+    trunc = truncate(unique_cubic_scheme(families.complete(4))).graph
+    for name, g, law_id in (("decompose_011", trunc, "thm3.6"), ("decompose_112", families.prism(5), "thm3.11")):
+        monkeypatch.setattr(laws, name, planted)
+        calls.clear()
+        results = check_all_laws(g)
+        assert calls == [g], name
+        for checked in (law_id, "thm-main"):
+            r = law(results, checked)
+            assert (r.holds, r.witness) == (False, {"error": "planted"}), checked
+        violations = census([("g", g)]).violations
+        assert violations == [("g", law_id, {"error": "planted"}), ("g", "thm-main", {"error": "planted"})]
 
 
 def _wrong_rotations(scheme):

@@ -12,10 +12,11 @@ import pytest
 from girthlab import families
 from girthlab.errors import NotAnArc
 from girthlab.families import FamilySpec
-from girthlab.girth import check_partition_facts, distance_partition, girth_report, two_path_counts
+from girthlab.girth import girth_report
 from girthlab.laws import CensusBucket, CensusResult, Classification, LawResult, check_all_laws
 from girthlab.maps import ClosedWalk, MapComplex, map_from_222
 from girthlab.multigraph import Arc, MultiGraph
+from girthlab.partitions import check_partition_facts, distance_partition, two_path_counts
 from girthlab.schemes import TruncationResult, unique_cubic_scheme
 
 K4 = families.complete(4)

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from itertools import permutations
+from types import MappingProxyType
 
 import pytest
 
 from girthlab import families
-from girthlab.errors import InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
+from girthlab.errors import GirthInvariantViolation, InvalidScheme, NotCubic, NotGirthRegular, WrongSignature
 from girthlab.girth import girth, girth_report
 from girthlab.isomorphism import are_isomorphic
 from girthlab.multigraph import Arc, MultiGraph, from_edge_list
@@ -198,6 +199,37 @@ def test_decompose_011_rejects_wrong_inputs():
     assert g.is_regular() == 3
     if girth_report(g).regular is None:
         with pytest.raises(NotGirthRegular):
+            decompose_011(g)
+
+
+def perfect_matchings(g: MultiGraph):
+    """Every perfect matching of a loop-free g, as frozensets of edge ids."""
+
+    def extend(free, chosen):
+        if not free:
+            yield chosen
+            return
+        v = min(free)
+        for w, eid in g.neighbors(v):
+            if w in free:
+                yield from extend(free - {v, w}, chosen | {eid})
+
+    return extend(frozenset(range(g.n)), frozenset())
+
+
+def test_decompose_011_checks_the_report_it_reads():
+    # faults planted in the kept report: the edges with ε = 0 must form a
+    # perfect matching, and the cycles it leaves must be the girth cycles
+    g = truncate(unique_cubic_scheme(families.prism(3))).graph
+    report = girth_report(g)
+    matching = {eid for eid, c in report.epsilon.items() if c == 0}
+    other = next(m for m in perfect_matchings(g) if m != matching)
+    for zeros, message in (
+        (matching - {min(matching)}, "not a perfect matching"),
+        (other, "not the cycles left by the matching"),
+    ):
+        g._report = report._replace(epsilon=MappingProxyType({eid: int(eid not in zeros) for eid in report.epsilon}))
+        with pytest.raises(GirthInvariantViolation, match=message):
             decompose_011(g)
 
 
