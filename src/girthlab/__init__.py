@@ -43,43 +43,22 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
-__all__ = [
-    "Arc",
-    "Classification",
-    "ClosedWalk",
-    "DihedralScheme",
-    "DistancePartition",
-    "GirthReport",
-    "LawResult",
-    "MapComplex",
-    "MultiGraph",
-    "TruncationResult",
-    "TwoPathCounts",
-    "are_isomorphic",
-    "build_map",
-    "census",
-    "check_all_laws",
-    "check_partition_facts",
-    "classify_g5",
-    "decompose_011",
-    "decompose_112",
-    "distance_partition",
-    "epsilon",
-    "find_isomorphism",
-    "from_edge_list",
-    "girth",
-    "girth_cycles",
-    "girth_report",
-    "is_vertex_transitive",
-    "map_from_222",
-    "parse_graph6",
-    "read_multigraph_json",
-    "read_multigraph_json_full",
-    "truncate",
-    "truncate_map",
-    "two_path_counts",
-    "unique_cubic_scheme",
-    "write_graph6",
-    "write_multigraph_json",
-    "write_sparse6",
-]
+__all__ = sorted(
+    [
+        "Arc",
+        "GirthReport",
+        "MultiGraph",
+        "epsilon",
+        "from_edge_list",
+        "girth",
+        "girth_cycles",
+        "girth_report",
+        "parse_graph6",
+        "read_multigraph_json",
+        "read_multigraph_json_full",
+        "write_graph6",
+        "write_multigraph_json",
+        "write_sparse6",
+        *_LAZY,
+    ]
+)

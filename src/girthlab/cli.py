@@ -27,7 +27,6 @@ from .codec import (
     multigraph_shape,
     parse_graph6,
     read_multigraph_json_full,
-    write_sparse6,
 )
 from .errors import GirthLabError, InfiniteGirth
 from .multigraph import MultiGraph
@@ -213,10 +212,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.format in ("json", "json-array"):
         sys.stdout.writelines(json_pieces(multigraph_shape(g)))
         print()
-    elif g.is_simple:
-        sys.stdout.writelines(graph6_chunks(g))
     else:
-        print(write_sparse6(g))
+        sys.stdout.writelines(graph6_chunks(g))
     return 0
 
 

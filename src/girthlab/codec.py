@@ -249,8 +249,7 @@ _SEPARATORS = (",", ":")
 class Lazy:
     """A JSON list, or an object when `members` is set, whose items (for
     an object, (key, value) pairs) are `make` of each element of `source`,
-    made on demand each time it is iterated. The items are plain values;
-    a list's item may also be a `Lazy` list of them."""
+    made on demand each time it is iterated. The items are plain values."""
 
     __slots__ = ("source", "make", "members")
 
@@ -272,7 +271,7 @@ def _is_large(value: Any) -> bool:
 def json_tree(value: Any) -> Any:
     """The plain dicts and lists that a description stands for."""
     if isinstance(value, Lazy):
-        return dict(value) if value.members else [json_tree(x) if type(x) is Lazy else x for x in value]
+        return dict(value) if value.members else list(value)
     if type(value) is dict:
         return {k: json_tree(v) for k, v in value.items()}
     return value
@@ -282,20 +281,11 @@ def json_pieces(value: Any) -> Iterator[str]:
     """The text of json.dumps(json_tree(value), separators=(",", ":")), as
     one json.dumps call for a value with no `Lazy` part, else one call per
     run of plain members, per key before a large member and per _PIECE
-    items of a `Lazy`. A `Lazy` item of at most _PIECE items joins its
-    batch as a list; a batch with a longer one is written item by item."""
+    items of a `Lazy`."""
     if isinstance(value, Lazy):
         items, sep = iter(value), ""
         yield "{" if value.members else "["
         while batch := list(islice(items, _PIECE)):
-            if Lazy in map(type, batch):
-                batch = [json_tree(x) if type(x) is Lazy and len(x) <= _PIECE else x for x in batch]
-            if Lazy in map(type, batch):
-                for item in batch:
-                    yield sep
-                    yield from json_pieces(item)
-                    sep = ","
-                continue
             text = json.dumps(dict(batch) if value.members else batch, separators=_SEPARATORS)
             yield sep + text[1:-1]
             sep = ","
@@ -394,7 +384,7 @@ def multigraph_shape(
         "edges": Lazy(g.edges, lambda e: {"id": e.id, "ends": list(e.ends)}),
     }
     if scheme is not None:
-        doc["scheme"] = Lazy(sorted(scheme.rotations), lambda v: Lazy(scheme.rotation(v), arc_ref))
+        doc["scheme"] = Lazy(sorted(scheme.rotations), lambda v: [arc_ref(a) for a in scheme.rotation(v)])
     return doc
 
 

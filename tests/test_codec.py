@@ -66,8 +66,9 @@ def test_write_graph6_rejects_non_simple():
 
 def test_graph6_headers_and_errors():
     assert parse_graph6(">>graph6<<D?{").n == 5
-    with pytest.raises(MalformedEncoding):
-        parse_graph6("")
+    for line in ("", ":", ">>sparse6<<:"):
+        with pytest.raises(MalformedEncoding, match="empty line"):
+            parse_graph6(line)
     with pytest.raises(MalformedEncoding):
         parse_graph6("D?")  # truncated body
     with pytest.raises(MalformedEncoding):

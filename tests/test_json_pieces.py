@@ -141,14 +141,16 @@ def test_empty_and_nested_lazy_parts(monkeypatch, piece):
 
 
 @pytest.mark.parametrize("piece", PIECES)
-def test_a_rotation_longer_than_a_piece_is_written_in_pieces(monkeypatch, piece):
+def test_a_rotation_longer_than_a_piece_is_one_item(monkeypatch, piece):
     k18 = families.complete(18)
     scheme = DihedralScheme.from_rotations(k18, [k18.out_arcs(v) for v in k18])
     monkeypatch.setattr(codec, "_PIECE", piece)
     pieces = list(codec.json_pieces(codec.multigraph_shape(k18, scheme)))
     assert "".join(pieces) == json.dumps(write_multigraph_json(k18, scheme), separators=SEPARATORS)
-    # each of the 17 arcs of a rotation is a list item of its own
-    assert max(p.count('"edge"') for p in pieces) == piece
+    # a rotation is one list item, as a face is: its 17 arcs share a piece
+    rotations = [p.count('[{"edge"') for p in pieces]
+    assert sum(rotations) == 18 and max(rotations) <= piece
+    assert [p.count('"edge"') for p in pieces] == [17 * r for r in rotations]
 
 
 class Sink:

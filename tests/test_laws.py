@@ -587,6 +587,14 @@ def test_census_text_and_json_shapes():
     assert doc["buckets"][0]["examples"] == ["k4"]
 
 
+def test_census_records_the_laws_past_the_isomorphism_cap():
+    # the CLI cannot get here: --max-vertices also bounds parsing
+    result = census([("p", families.petersen()), ("k", families.complete(4))], iso_cap=5)
+    assert result.unverified == [("p", "thm3"), ("p", "thm-main")] and result.violations == []
+    assert result.to_json()["unverified"] == [{"graph": "p", "law": "thm3"}, {"graph": "p", "law": "thm-main"}]
+    assert "unverified (size cap): 2" in result.to_text()
+
+
 # --- seeded fuzzing ---
 
 def random_multigraphs(rng, count):

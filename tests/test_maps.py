@@ -10,6 +10,8 @@ import pytest
 
 import girthlab
 from girthlab import families
+from girthlab.cli import main
+from girthlab.codec import write_graph6
 from girthlab.errors import Disconnected, EdgeCoverageViolation, InvalidScheme, NotDihedral, WrongSignature
 from girthlab.girth import _rooted_pass, girth_report
 from girthlab.isomorphism import are_isomorphic
@@ -401,6 +403,21 @@ def test_decompose_112_rejects_wrong_signature():
         decompose_112(families.cube_q3())
     with pytest.raises(WrongSignature):
         decompose_112(families.petersen())
+
+
+def test_the_decompositions_refuse_a_disconnected_graph(tmp_path, capsys):
+    def twice(g):
+        return from_edge_list(2 * g.n, [tuple(k * g.n + v for v in e.ends) for k in (0, 1) for e in g.edges])
+
+    for mode, decompose, g in (("112", decompose_112, twice(families.prism(4))),
+                               ("222", map_from_222, twice(families.dodecahedron()))):
+        with pytest.raises(Disconnected, match="^decomposition needs a connected graph$"):
+            decompose(g)
+        path = tmp_path / f"{mode}.g6"
+        path.write_text(write_graph6(g) + "\n")
+        assert main(["decompose", "--mode", mode, "--format", "json", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f'{{"error":"decomposition needs a connected graph","id":"{path}:1"}}\n')
 
 
 def test_map_json_shape():

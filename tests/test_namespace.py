@@ -23,6 +23,10 @@ def test_every_exported_name_is_its_home_modules_object():
         obj = getattr(girthlab, name)
         assert obj is getattr(sys.modules[obj.__module__], name), name
     assert set(girthlab.__all__) <= set(dir(girthlab))
+    # the eager list holds every public name defined in a package module
+    eager = {name for name, obj in vars(girthlab).items()
+             if not name.startswith("_") and getattr(obj, "__module__", "").startswith("girthlab.")}
+    assert girthlab.__all__ == sorted({*girthlab._LAZY, *eager})
 
 
 def test_an_unknown_name_raises_attribute_error():
