@@ -62,9 +62,10 @@ def _cap(args: argparse.Namespace, default: int) -> int:
 
 # --- input streaming ---
 
-def _read(read: Callable[[], str]) -> str | Exception:
+def _read(path: Path | None) -> str | Exception:
+    """The text of the file at path, read as UTF-8, or of stdin for None."""
     try:
-        return read()
+        return sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return exc
 
@@ -74,15 +75,15 @@ def _input_files(paths: list[str]) -> Iterator[tuple[str, str | Exception]]:
     input file; '-' reads stdin."""
     for p in paths:
         if p == "-":
-            yield "<stdin>", _read(sys.stdin.read)
+            yield "<stdin>", _read(None)
             continue
         path = Path(p)
         if path.is_dir():
             for child in sorted(path.iterdir()):
                 if child.is_file():
-                    yield str(child), _read(child.read_text)
+                    yield str(child), _read(child)
         else:
-            yield str(path), _read(path.read_text)
+            yield str(path), _read(path)
 
 
 ParsedGraph = tuple[str, "MultiGraph | Exception", "DihedralScheme | None"]

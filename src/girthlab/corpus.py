@@ -20,7 +20,7 @@ GIRTHREG_EXT = "girthreg_ext_16_20.g6"
 
 
 def corpus_lines(name: str = CUBIC_LE14) -> list[str]:
-    text = files("girthlab.data").joinpath(name).read_text()
+    text = files("girthlab.data").joinpath(name).read_text(encoding="utf-8")
     return [line for line in text.splitlines() if line.strip()]
 
 

@@ -53,19 +53,15 @@ class InfiniteGirth(GirthLabError):
 
 
 class NotAnEdge(GirthLabError):
-    """The given vertex pair or edge id is not an edge of the graph."""
-
-
-class NotCubicVertex(GirthLabError):
-    """Two-path counts are only defined at valence-3 vertices."""
+    """The given edge id is not an edge of the graph."""
 
 
 class GirthInvariantViolation(GirthLabError):
     """A girth-cycle invariant failed: a BFS below the girth radius meets a
     shorter cycle, an edge's ε counted from its two ends differs, the ε
-    counts do not add up to whole cycles, the listed girth cycles do not
-    add up to ε, or a decomposition finds the girth cycles and ε not as
-    its signature says."""
+    counts add up to no cycle or not to whole cycles, the listed girth
+    cycles do not add up to ε, or a decomposition finds the girth cycles
+    and ε not as its signature says."""
 
 
 # --- schemes / maps ---

@@ -4,8 +4,7 @@ the vertices above the root only, it labels each vertex with its depth,
 parent, tree edge and branch (the edge at the root its tree path leaves
 by) and lists the non-tree edges it meets: a closed walk through the root
 closes at each. A pass stamps each root's depths above a base of its own,
-so no root resets the marks. Two consumers here, and `partitions` shares
-it for the distance partitions:
+so no root resets the marks. Its two consumers:
 
 - `_shortest_cycle`, the girth search, from the core vertices of degree
   >= 3; a core component whose vertices all have core degree 2, found by
@@ -34,7 +33,7 @@ from .errors import GirthInvariantViolation, InfiniteGirth
 from .multigraph import MultiGraph
 
 # each vertex's depth stamp, parent, tree edge and branch, indexed by vertex
-Marks = tuple[Any, Any, Any, Any]
+Marks = tuple[list[int], list[int], list[Any], list[Any]]
 
 
 def _marks(n: int) -> Marks:
@@ -45,13 +44,13 @@ def _marks(n: int) -> Marks:
 def _bfs(
     adj: Sequence[Sequence[tuple[int, int]]], root: int, length: int, marks: Marks, base: int, low: int = 0
 ) -> tuple[list[int], list[tuple[int, int, int]]]:
-    """The one layered BFS, here and in `partitions`, from root over the
-    vertices >= low. It reaches depth ⌊length/2⌋ and scans the edges of
-    each vertex reached below depth length/2, so every cycle through root
-    of at most `length` edges closes at a non-tree edge that it meets. Each
-    vertex reached gets, in `marks`, its depth stamp base + depth and, below
-    the root, its parent, its tree edge and its branch, the edge at root that
-    its tree path leaves by. Stamps below base read as unreached. Returns
+    """The one layered BFS, from root over the vertices >= low. It reaches
+    depth ⌊length/2⌋ and scans the edges of each vertex reached below depth
+    length/2, so every cycle through root of at most `length` edges closes
+    at a non-tree edge that it meets. Each vertex reached gets, in `marks`,
+    its depth stamp base + depth and, below the root, its parent, its tree
+    edge and its branch, the edge at root that its tree path leaves by.
+    Stamps below base, those of earlier runs, read as unreached. Returns
     the vertices reached, in BFS order, and the non-tree edges (v, w, edge
     id) in the order met, once from each scanned end v."""
     depth, parent, up, branch = marks
@@ -179,8 +178,11 @@ class GirthReport(NamedTuple):
 
 
 def _keep_report(g: MultiGraph, gir: int, eps: dict[int, int]) -> GirthReport:
-    """The report of the counts ε, kept on g if they are whole cycles."""
+    """The report of the counts ε, kept on g if they add up to one or more
+    whole cycles."""
     total = sum(eps.values())
+    if not total:  # a finite girth is the length of some cycle
+        raise GirthInvariantViolation(f"no cycle has the girth {gir}: ε is 0 on every edge")
     if total % gir:
         raise GirthInvariantViolation(
             f"cycle-count conservation failed: ε sums to {total}, not a multiple of {gir}"

@@ -141,22 +141,6 @@ def naive_epsilon(g: MultiGraph) -> dict[int, int]:
     return counts
 
 
-def naive_two_path_counts(g: MultiGraph) -> dict[int, tuple[int, int, int]]:
-    """At each loop-free valence-3 vertex, the girth cycles through each
-    pair of its edges, in the order (e1e2, e2e3, e3e1) with e1 < e2 < e3."""
-    cycles = naive_girth_cycles(g)
-    out: dict[int, tuple[int, int, int]] = {}
-    for v in range(g.n):
-        at_v = [e for e in g.edges if v in e.ends]
-        if len(at_v) != 3 or any(e.is_loop for e in at_v):
-            continue
-        e1, e2, e3 = sorted(e.id for e in at_v)
-        out[v] = tuple(
-            sum(1 for c in cycles if a in c and b in c) for a, b in ((e1, e2), (e2, e3), (e3, e1))
-        )
-    return out
-
-
 def naive_distances(g: MultiGraph, src: int) -> list[int | None]:
     """Distances from src by relaxing every edge until nothing changes."""
     dist: list[int | None] = [None] * g.n
@@ -185,6 +169,57 @@ def naive_partition_cells(
         if i is not None and j is not None and i <= bound and j <= bound:
             cells.setdefault((i, j), set()).add(x)
     return {ij: frozenset(s) for ij, s in cells.items()}
+
+
+def naive_partition_facts(
+    g: MultiGraph, u: int, v: int, eps: int, gir: int | None = None
+) -> dict[int, bool]:
+    """Whether each of the paper's six distance-partition facts that applies
+    holds for the edge uv, given ε(uv) = eps, read literally off the cells
+    D^i_j = {x : d(u, x) = i, d(v, x) = j} for i, j <= d + 1, d = ⌊g/2⌋.
+
+    (1) D^i_i is empty for 0 < i < d. For 0 < i <= d each of D^(i-1)_i and
+    D^i_(i-1) is (2) an independent set from i = 2 on, where (3) each of
+    its vertices has one neighbour one step nearer u and v and, for i < d,
+    k - 1 one step further, and (4) it has (k-1)^(i-1) vertices. The
+    facts with k apply to k-regular graphs only. At even girth >= 4, (5)
+    ε(uv) edges join D^(d-1)_d to D^d_(d-1); at odd girth, (6) D^d_d has
+    ε(uv) vertices, each with one neighbour in either of those cells. At
+    girth 2 neither applies: every parallel u-v edge joins {u} to {v}.
+    The girth g is naive_girth's unless given."""
+    gir = gir or naive_girth(g)
+    d = gir // 2
+    cells = naive_partition_cells(g, u, v, d + 1)
+    k, adj = g.is_regular(), _adj(g)
+
+    def cell(i: int, j: int) -> frozenset[int]:
+        return cells.get((i, j), frozenset())
+
+    def nbrs(x: int) -> list[int]:
+        """x's neighbours, once per edge, loops left out."""
+        return [w for w, _ in adj[x]]
+
+    facts = {1: all(not cell(i, i) for i in range(1, d)), 2: True, 3: True}
+    if k is not None:
+        facts[4] = True
+    for i in range(1, d + 1):
+        for a, b in ((i - 1, i), (i, i - 1)):
+            if k is not None and len(cell(a, b)) != (k - 1) ** (i - 1):
+                facts[4] = False
+            for x in cell(a, b) if i >= 2 else ():
+                near = set(nbrs(x))
+                facts[2] &= not (near & cell(a, b))
+                facts[3] &= len(near & cell(a - 1, b - 1)) == 1
+                if k is not None and i < d:
+                    facts[3] &= len(near & cell(a + 1, b + 1)) == k - 1
+    upper, lower = cell(d - 1, d), cell(d, d - 1)
+    if gir % 2 == 0 and gir >= 4:
+        facts[5] = sum(y in lower for x in upper for y in nbrs(x)) == eps
+    elif gir % 2:
+        facts[6] = len(cell(d, d)) == eps and all(
+            len(set(nbrs(x)) & upper) == len(set(nbrs(x)) & lower) == 1 for x in cell(d, d)
+        )
+    return facts
 
 
 def naive_signatures(g: MultiGraph) -> dict[int, tuple[int, ...]]:

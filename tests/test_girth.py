@@ -11,17 +11,11 @@ from types import MappingProxyType
 import pytest
 
 from girthlab import families
-from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge, NotCubicVertex
+from girthlab.errors import GirthInvariantViolation, InfiniteGirth, NotAnEdge
 from girthlab.girth import _rooted_pass, epsilon, girth, girth_cycles, girth_report
 from girthlab.laws import check_all_laws
 from girthlab.maps import decompose_112, map_from_222
 from girthlab.multigraph import MultiGraph, from_edge_list
-from girthlab.partitions import (
-    check_partition_facts,
-    distance_partition,
-    distance_partition_2path,
-    two_path_counts,
-)
 from girthlab.schemes import decompose_011, truncate, unique_cubic_scheme
 
 from oracle import (
@@ -30,9 +24,8 @@ from oracle import (
     naive_epsilon,
     naive_girth,
     naive_girth_cycles,
-    naive_partition_cells,
+    naive_partition_facts,
     naive_signatures,
-    naive_two_path_counts,
 )
 
 TRUNC_3PRISM = truncate(unique_cubic_scheme(families.prism(3))).graph
@@ -139,12 +132,10 @@ def _assert_closed_walks(g: MultiGraph, walks: list, gir: int) -> None:
         assert len({a.edge for a in arcs}) == len(arcs) == gir
 
 
-def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
-    """girth, report, cycles, ε and the distance-partition cells of every
-    edge, each against its brute-force oracle; the listed cycles are closed
-    walks, and their count on each edge is ε again. `edges` may cap the
-    edges that `epsilon` and `distance_partition` are asked about: the
-    oracle's cells cost far more per edge than the library's."""
+def _assert_matches_oracle(g: MultiGraph) -> None:
+    """girth, report, cycles and the ε of every edge, each against its
+    brute-force oracle; the listed cycles are closed walks, and their count
+    on each edge is ε again."""
     gir = naive_girth(g)
     assert girth(g) == gir
     if gir is None:
@@ -160,13 +151,8 @@ def _assert_matches_oracle(g: MultiGraph, edges: int | None = None) -> None:
     assert Counter(a.edge for arcs in walks for a in arcs) == Counter(eps)
     listed = girth_cycles(g)
     assert len(listed) == len(cycles) and set(listed) == cycles
-    for e in g.edges[:edges]:
+    for e in g.edges:
         assert epsilon(g, e.id) == eps[e.id]
-        if not e.is_loop:
-            u, v = e.ends
-            for a, b in ((u, v), (v, u)):
-                part = distance_partition(g, a, b)
-                assert part.cells == naive_partition_cells(g, a, b, gir // 2 + 1)
 
 
 def test_girth_of_named_graphs():
@@ -345,6 +331,8 @@ def test_epsilon_named_values():
     assert all(epsilon(dod, e.id) == 2 for e in dod.edges)
     hea = families.heawood()
     assert all(epsilon(hea, e.id) == 8 for e in hea.edges)  # (k-1)^d = 2^3
+    with pytest.raises(NotAnEdge):
+        epsilon(pet, 999)
 
 
 def test_girth_report_examples():
@@ -390,7 +378,7 @@ def test_oracle_equivalence_on_named_graphs():
         TRUNC_3PRISM,
     ):
         _assert_matches_oracle(g)
-    _assert_matches_oracle(families.tutte_12cage(), edges=100)  # girth 12, 189 edges
+    _assert_matches_oracle(families.tutte_12cage())  # girth 12, 189 edges
 
 
 def test_per_edge_calls_search_for_the_girth_once_per_graph(monkeypatch):
@@ -400,13 +388,7 @@ def test_per_edge_calls_search_for_the_girth_once_per_graph(monkeypatch):
     monkeypatch.setattr(mod, "_shortest_cycle", lambda g: searches.append(g) or search(g))
     g = families.heawood()  # built anew on each call
     for e in g.edges:
-        u, v = e.ends
         epsilon(g, e.id)
-        distance_partition(g, u, v)
-        check_partition_facts(g, u, v)
-    (a, _), (b, _), _ = g.neighbors(0)
-    distance_partition_2path(g, a, 0, b)
-    two_path_counts(g, 0)
     girth_report(g)
     girth_cycles(g)
     assert searches == [g] and girth(g) == 6
@@ -433,31 +415,49 @@ def test_oracle_equivalence_on_multigraphs():
 
 
 def test_path_counts_match_oracle_on_random_graphs():
+    # every girth cycle through a loop-free cubic vertex uses two of its
+    # edges e1 < e2 < e3, so the oracle's counts x, y, z of the cycles
+    # through e1e2, e2e3 and e3e1 solve ε(e1) = x + z, ε(e2) = x + y and
+    # ε(e3) = y + z over the report's ε
+    vertices = 0
     for g in RANDOM_GRAPHS:
         if naive_girth(g) is None:
             continue
-        eps = naive_epsilon(g)
-        for e in g.edges:
-            assert epsilon(g, e.id) == eps[e.id]
-        for v, want in naive_two_path_counts(g).items():
-            t = two_path_counts(g, v)
-            assert (t.x, t.y, t.z) == want
+        cycles, eps = naive_girth_cycles(g), girth_report(g).epsilon
+        for v in range(g.n):
+            at_v = [e for e in g.edges if v in e.ends]
+            if len(at_v) != 3 or any(e.is_loop for e in at_v):
+                continue
+            e1, e2, e3 = sorted(e.id for e in at_v)
+            x, y, z = (sum(a in c and b in c for c in cycles) for a, b in ((e1, e2), (e2, e3), (e3, e1)))
+            assert (eps[e1], eps[e2], eps[e3]) == (x + z, x + y, y + z)
+            vertices += 1
+    assert vertices > 100
 
 
 @pytest.mark.parametrize(
-    ("g", "wrong_girth"),
-    [(families.prism(5), 6), (families.cube_q3(), 6), (families.dodecahedron(), 7)],
+    ("g", "wrong_girth", "message"),
+    [
+        (families.prism(5), 6, "shorter than the girth"),
+        (families.cube_q3(), 6, "shorter than the girth"),
+        (families.dodecahedron(), 7, "shorter than the girth"),
+        (families.complete_bipartite(3, 3), 3, "no cycle has the girth 3"),
+        (families.petersen(), 4, "no cycle has the girth 4"),
+        (families.heawood(), 5, "no cycle has the girth 5"),
+    ],
+    ids=["g0-6", "g1-6", "g2-7", "g3-3", "g4-4", "g5-5"],  # the graph and the wrong girth
 )
-def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth):
+def test_girth_invariants_raise_typed_errors(monkeypatch, g, wrong_girth, message):
     # a wrong girth breaks the partition facts the counts rest on; the
-    # checks are raises, so they also hold under python -O. The rooted
-    # pass meets a shorter cycle first, also when it lists; an ε that is
-    # not whole cycles fails conservation.
+    # checks are raises, so they also hold under python -O. Above the true
+    # girth the rooted pass meets a shorter cycle first, also when it
+    # lists; below it the pass finds no cycle at all, and ε is 0. An ε
+    # that is not whole cycles fails conservation.
     mod = importlib.import_module("girthlab.girth")
     g, real_girth, real_keep = _fresh(g), mod.girth, mod._keep_report
     monkeypatch.setattr(mod, "girth", lambda _g: wrong_girth)
     for run in (girth_report, girth_cycles):
-        with pytest.raises(GirthInvariantViolation, match="shorter than the girth"):
+        with pytest.raises(GirthInvariantViolation, match=message):
             run(g)
     monkeypatch.setattr(mod, "girth", real_girth)
     one_more = g.edges[0].id
@@ -528,141 +528,36 @@ def test_theorem1_bound_on_regular_samples():
         assert all(c <= bound for c in rep.epsilon.values())
 
 
-def test_two_path_counts_examples():
-    k4 = families.complete(4)
-    for v in range(4):
-        t = two_path_counts(k4, v)
-        assert (t.x, t.y, t.z) == (1, 1, 1)
-    pet = families.petersen()
-    for v in range(10):
-        t = two_path_counts(pet, v)
-        assert (t.x, t.y, t.z) == (2, 2, 2)
-    for v in range(TRUNC_3PRISM.n):
-        t = two_path_counts(TRUNC_3PRISM, v)
-        assert sorted((t.x, t.y, t.z)) == [0, 0, 1]
-
-
-def test_two_path_counts_solve_their_linear_system():
-    for g in (families.petersen(), families.mobius(4), families.prism(6), TRUNC_3PRISM):
-        rep = girth_report(g)
-        for v in range(g.n):
-            t = two_path_counts(g, v)
-            a, b, c = (rep.epsilon[e] for e in t.edges)
-            assert a == t.x + t.z
-            assert b == t.x + t.y
-            assert c == t.y + t.z
-            assert (t.x, t.y, t.z) == (
-                (a + b - c) // 2,
-                (-a + b + c) // 2,
-                (a - b + c) // 2,
-            )
-
-
-def test_two_path_counts_rejects_non_cubic_vertices():
-    with pytest.raises(NotCubicVertex):
-        two_path_counts(families.cycle(5), 0)
-    with pytest.raises(NotCubicVertex):
-        two_path_counts(from_edge_list(2, [(0, 0), (0, 1)]), 0)
-    for v in (99, -1, True, "0", 1.0):  # no vertex id of the graph
-        with pytest.raises(NotCubicVertex):
-            two_path_counts(families.petersen(), v)
-
-
-def test_distance_partition_petersen():
-    pet = families.petersen()
-    part = distance_partition(pet, 0, 1)
-    assert part.radius == 2
-    assert len(part.cell(1, 2)) == 2
-    assert len(part.cell(2, 1)) == 2
-    assert len(part.cell(2, 2)) == 4
-    assert epsilon(pet, next(e.id for e in pet.edges if set(e.ends) == {0, 1})) == 4
-    for (i, j), cell in part.cells.items():
-        if abs(i - j) >= 2:
-            assert not cell
-
-
-def test_distance_partition_k33_cross_edges():
-    g = families.complete_bipartite(3, 3)
-    part = distance_partition(g, 0, 3)
-    upper, lower = part.cell(1, 2), part.cell(2, 1)
-    cross = [
-        e
-        for e in g.edges
-        if (e.ends[0] in upper and e.ends[1] in lower)
-        or (e.ends[1] in upper and e.ends[0] in lower)
-    ]
-    assert len(cross) == 4  # equals epsilon via fact (5)
-
-
-def test_distance_partition_requires_an_edge():
-    pet = families.petersen()
-    for u, v in ((0, 2), ("0", 1), (0, "1"), (False, True), (0, True), (0, 1.0)):
-        for query in (distance_partition, check_partition_facts):
-            with pytest.raises(NotAnEdge):
-                query(pet, u, v)
-    with pytest.raises(NotAnEdge):
-        distance_partition_2path(pet, 4, 0, True)
-    with pytest.raises(NotAnEdge):
-        epsilon(families.petersen(), 999)
-
-
-def test_distance_partition_2path():
-    pet = families.petersen()
-    part = distance_partition_2path(pet, 4, 0, 1)
-    assert part.sources == (4, 0, 1)
-    assert part.radius == 2
-    with pytest.raises(NotAnEdge):
-        distance_partition_2path(pet, 0, 2, 4)
-
-
-def test_partition_facts_even_girth():
-    hea = families.heawood()
-    u, v = hea.edges[0].ends
-    results = {r.fact: r for r in check_partition_facts(hea, u, v)}
-    for fact in (1, 2, 3, 4, 5):
-        assert results[fact].applicable and results[fact].holds, results[fact]
-    assert not results[6].applicable
-
-
-def test_partition_facts_odd_girth():
-    pet = families.petersen()
-    results = {r.fact: r for r in check_partition_facts(pet, 0, 1)}
-    for fact in (1, 2, 3, 4, 6):
-        assert results[fact].applicable and results[fact].holds, results[fact]
-    assert not results[5].applicable
-
-
-def test_partition_facts_skip_fact_5_at_girth_2():
-    # the cells D^0_1 = {0} and D^1_0 = {1} are joined by all three edges,
-    # while each edge lies on two of the three girth cycles
-    results = {r.fact: r for r in check_partition_facts(THETA, 0, 1)}
-    assert not results[5].applicable and not results[6].applicable
-    assert all(results[fact].holds for fact in (1, 2, 3, 4))
-
-
 def test_partition_facts_hold_on_random_graphs():
-    for g in RANDOM_GRAPHS:
-        if naive_girth(g) is None:
+    # the oracle's literal reading of the six facts, for every non-loop edge
+    # in both directions, against the report's ε
+    named = [families.heawood(), families.petersen(), THETA, families.cycle(6)]
+    applied: set[int] = set()
+    for g in [*RANDOM_GRAPHS, *named]:
+        gir = naive_girth(g)
+        if gir is None:
             continue
-        eps = naive_epsilon(g)
+        eps = girth_report(g).epsilon
         for e in g.edges:
             if e.is_loop:
                 continue
             u, v = e.ends
             for a, b in ((u, v), (v, u)):
-                results = check_partition_facts(g, a, b)
-                assert [r.fact for r in results] == [1, 2, 3, 4, 5, 6]
-                assert not any(r.applicable and not r.holds for r in results), results
-                for r in results[4:]:
-                    if r.applicable:  # parallel edges, if any, share ε
-                        assert r.witness[-1] == eps[e.id]
+                facts = naive_partition_facts(g, a, b, eps[e.id], gir)
+                assert all(facts.values()), (g, a, b, facts)
+                applied |= set(facts)
+    assert applied == {1, 2, 3, 4, 5, 6}
 
 
-def test_partition_facts_cycle_degenerate():
-    c6 = families.cycle(6)
-    results = {r.fact: r for r in check_partition_facts(c6, 0, 1)}
-    for fact in (1, 2, 3, 4, 5):
-        assert results[fact].holds or not results[fact].applicable
+@pytest.mark.parametrize(("g", "fact"), [(families.heawood(), 5), (families.petersen(), 6)])
+def test_partition_facts_catch_a_wrong_epsilon(g, fact):
+    # one cycle too many on an edge breaks the fact that counts ε: fact 5
+    # at even girth, fact 6 at odd
+    e = g.edges[0]
+    facts = naive_partition_facts(g, *e.ends, epsilon(g, e.id))
+    assert all(facts.values())
+    facts = naive_partition_facts(g, *e.ends, epsilon(g, e.id) + 1)
+    assert [f for f, holds in facts.items() if not holds] == [fact]
 
 
 def test_cycle_vertex_order_orientation():
@@ -698,7 +593,7 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
     # graph, after the girth search, it counts ε and lists the girth cycles
     # together; on a graph that keeps its report it only lists.
     # decompose_011 lists none: it walks the cycles that the matching
-    # leaves. All of them, and the distance partitions, run one BFS routine.
+    # leaves. All of them run one BFS routine.
     mod = importlib.import_module("girthlab.girth")
     passes: list[tuple[bool, bool, int]] = []  # (cycles, counted, cycles listed)
     real_pass = mod._rooted_pass
@@ -714,8 +609,7 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
         monkeypatch.setattr(module, "_rooted_pass", counted)
     roots: list[int] = []
     bfs = mod._bfs
-    for module in (mod, importlib.import_module("girthlab.partitions")):
-        monkeypatch.setattr(module, "_bfs", lambda adj, root, *rest: roots.append(root) or bfs(adj, root, *rest))
+    monkeypatch.setattr(mod, "_bfs", lambda adj, root, *rest: roots.append(root) or bfs(adj, root, *rest))
     for g, decompose, cycles in (
         (TRUNC_K4, decompose_011, False),
         (families.prism(8), decompose_112, True),
@@ -747,7 +641,6 @@ def test_decompositions_list_each_girth_cycle_once(monkeypatch):
         (girth, [0, *range(16)]),  # every vertex; 0 first finds no triangle
         (girth_report, list(range(16))),  # the rooted count, once per vertex
         (girth_cycles, list(range(16))),
-        (lambda g: distance_partition(g, 0, 1), [1, 0]),
     ):
         roots.clear()
         run(g)

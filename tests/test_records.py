@@ -16,7 +16,6 @@ from girthlab.girth import girth_report
 from girthlab.laws import CensusBucket, CensusResult, Classification, LawResult, check_all_laws
 from girthlab.maps import ClosedWalk, MapComplex, map_from_222
 from girthlab.multigraph import Arc, MultiGraph
-from girthlab.partitions import check_partition_facts, distance_partition, two_path_counts
 from girthlab.schemes import TruncationResult, unique_cubic_scheme
 
 K4 = families.complete(4)
@@ -37,16 +36,6 @@ RECORDS = {
         lambda: girth_report(theta()),
         "GirthReport(girth=2, cycle_count=3, epsilon=mappingproxy({0: 2, 1: 2, 2: 2}),"
         " signatures=mappingproxy({0: (2, 2, 2), 1: (2, 2, 2)}), regular=(2, 2, 2))",
-    ),
-    "DistancePartition": (
-        lambda: distance_partition(K4, 0, 1), "DistancePartition(sources=(0, 1), radius=1)"
-    ),
-    "FactResult": (
-        lambda: check_partition_facts(K4, 0, 1)[0],
-        "FactResult(fact=1, applicable=True, holds=True, witness=None)",
-    ),
-    "TwoPathCounts": (
-        lambda: two_path_counts(K4, 0), "TwoPathCounts(vertex=0, edges=(0, 1, 2), x=1, y=1, z=1)"
     ),
     "FamilySpec": (lambda: FamilySpec("prism", (3,)), "FamilySpec(name='prism', params=(3,))"),
     "LawResult": (
